@@ -1,13 +1,13 @@
-"""Extension — the modeled cost of the engine's row-tiled pipeline (shim).
+"""Extension — the modeled cost of the device backend's streaming mode (shim).
 
-The row-tiled distance pipeline (``tile_rows=``) streams the kernel
-matrix over PCIe instead of keeping it resident, so memory drops from
-O(n^2) to O(tile_rows * n) while the per-iteration SpMM stays bit-exact.
-The registry entry sweeps ``tile_rows`` at fixed n and charts the
-throughput price of streaming against monolithic Popcorn; the shim
-executes tiled-vs-monolithic at small scale and verifies label equality.
+With ``chunk_rows=`` the device backend streams the kernel matrix over
+PCIe instead of keeping it resident, so memory drops from O(n^2) to
+O(chunk_rows * n) while the per-iteration SpMM stays bit-exact.  The
+registry entry sweeps ``chunk_rows`` at fixed n and charts the throughput
+price of streaming against monolithic Popcorn; the shim executes
+streamed-vs-monolithic at small scale and verifies label equality.
 
-The practitioner's decision rule: use the largest ``tile_rows`` that
+The practitioner's decision rule: use the largest ``chunk_rows`` that
 fits, and expect the modeled slowdown printed here.
 """
 
@@ -28,7 +28,7 @@ def test_engine_tiling_sweep(benchmark):
 
     def run():
         return PopcornKernelKMeans(
-            5, tile_rows=64, max_iter=5, check_convergence=False
+            5, chunk_rows=64, max_iter=5, check_convergence=False
         ).fit(x, init_labels=init)
 
     tiled_est = benchmark(run)

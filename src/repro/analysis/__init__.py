@@ -9,8 +9,8 @@ RPR101   no dense n×k materialisation in engine//core/ hot paths
 RPR102   raise repro.errors types, not bare stdlib errors
 RPR103   pickle-free artifacts (no ``import pickle``; ``np.load``
          pins ``allow_pickle=False``)
-RPR104   ParamSpec <-> ``__init__`` conformance (defaults, aliases,
-         clone round-trips)
+RPR104   ParamSpec <-> ``__init__`` conformance (defaults, clone
+         round-trips)
 RPR105   fit-bearing estimators registered; factory layers construct
          via ``make_estimator`` only
 RPR106   ``_guarded_by`` lock discipline (mutations under the lock, no

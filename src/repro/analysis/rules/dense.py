@@ -35,8 +35,6 @@ _ALLOCATORS = {"zeros", "empty", "ones", "full"}
 #: mapped to the module that is allowed to define/use them
 _UNFUSED_HELPERS = {
     "popcorn_distances_host": "src/repro/core/distances.py",
-    "weighted_distances_host": "src/repro/core/weighted.py",
-    "tiled_popcorn_distances_host": "src/repro/engine/tiling.py",
 }
 
 _HOT_PREFIXES = ("src/repro/engine/", "src/repro/core/")

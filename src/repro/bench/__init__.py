@@ -25,7 +25,7 @@ Quickstart::
 
     repro-bench list
     repro-bench run --all --out BENCH_results.json
-    repro-bench run --only fig5 --quick --backend device --tile-rows 4096
+    repro-bench run --only fig5 --quick --backend device --chunk-rows 4096
     repro-bench compare baseline.json BENCH_results.json --threshold 0.2
 """
 

@@ -8,7 +8,7 @@ Schema (version 1)
       "schema_version": 1,
       "generated_by": "repro.bench",
       "repro_version": "<package version>",
-      "config": {"quick": bool, "backend": str, "tile_rows": int|null,
+      "config": {"quick": bool, "backend": str, "chunk_rows": int|null,
                  "n_trials": int, "base_seed": int},
       "environment": {"python": str, "implementation": str,
                       "platform": str, "machine": str,

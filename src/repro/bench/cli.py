@@ -3,7 +3,7 @@
 Usage::
 
     repro-bench list
-    repro-bench run --all [--quick] [--backend device] [--tile-rows N]
+    repro-bench run --all [--quick] [--backend device] [--chunk-rows N]
                     [--jobs N] [--trials N] [--out BENCH_results.json]
                     [--results-dir DIR] [--no-csv] [--no-probes]
     repro-bench run --only fig5 --only fig7
@@ -61,12 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend forwarded to the executed probes",
     )
     run_p.add_argument(
-        "--tile-rows",
-        dest="tile_rows",
+        "--chunk-rows",
+        dest="chunk_rows",
         type=int,
         default=None,
         metavar="R",
-        help="row-tiled streaming forwarded to the executed Popcorn probes",
+        help="row granularity (chunk_rows) forwarded to the executed Popcorn probes",
     )
     run_p.add_argument(
         "--trials",
@@ -199,7 +199,7 @@ def _cmd_run(args) -> int:
     cfg = RunConfig(
         quick=args.quick,
         backend=args.backend,
-        tile_rows=args.tile_rows,
+        chunk_rows=args.chunk_rows,
         n_trials=args.trials,
         base_seed=args.seed,
     )

@@ -65,12 +65,7 @@ def _probe_points(n: int, d: int, seed: int) -> np.ndarray:
 
 
 def popcorn_probe(cfg: RunConfig, *, n: int = 150, d: int = 8, k: int = 5):
-    """Small real Popcorn fit honouring ``--backend`` / ``--tile-rows``.
-
-    ``cfg.tile_rows`` (the bench artifact's config key) feeds the
-    estimator's ``chunk_rows`` — the same row granularity under its
-    current name.
-    """
+    """Small real Popcorn fit honouring ``--backend`` / ``--chunk-rows``."""
     x = _probe_points(n, d, cfg.base_seed)
 
     def factory(seed: int):
@@ -79,7 +74,7 @@ def popcorn_probe(cfg: RunConfig, *, n: int = 150, d: int = 8, k: int = 5):
             n_clusters=k,
             dtype=np.float64,
             backend=cfg.backend,
-            chunk_rows=cfg.tile_rows,
+            chunk_rows=cfg.chunk_rows,
             max_iter=5,
             check_convergence=False,
             seed=seed,
@@ -92,7 +87,7 @@ def popcorn_probe(cfg: RunConfig, *, n: int = 150, d: int = 8, k: int = 5):
 
 
 def baseline_probe(cfg: RunConfig, *, n: int = 150, d: int = 8, k: int = 5):
-    """Small real baseline-CUDA fit (no tiling; honours ``--backend``)."""
+    """Small real baseline-CUDA fit (no row chunking; honours ``--backend``)."""
     x = _probe_points(n, d, cfg.base_seed)
     init = random_labels(n, k, np.random.default_rng(cfg.base_seed))
 

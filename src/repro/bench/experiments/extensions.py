@@ -154,7 +154,7 @@ def run_ext_memory_wall(cfg: RunConfig) -> ExperimentResult:
         fits = k_bytes <= MEMORY_WALL_CAPACITY * 0.9
         pop = model_popcorn(n, d, k, include_transfer=False).total_s if fits else None
         tiled = model_popcorn_tiled(
-            n, d, k, tile_rows=MEMORY_WALL_TILE, include_transfer=False
+            n, d, k, chunk_rows=MEMORY_WALL_TILE, include_transfer=False
         ).total_s
         otf = model_onthefly(n, d, k)
         dist4 = model_distributed_popcorn(n, d, k, 4)
@@ -220,10 +220,10 @@ def check_ext_memory_wall(result: ExperimentResult) -> None:
     # streaming is not free: tiled pays over resident popcorn where both run
     check(
         model_popcorn_tiled(
-            50000, d, k, tile_rows=MEMORY_WALL_TILE, include_transfer=False
+            50000, d, k, chunk_rows=MEMORY_WALL_TILE, include_transfer=False
         ).total_s
         > pop_small,
-        'probe invariant violated: model_popcorn_tiled( 50000, d, k, tile_rows=MEMORY_WALL_TIL...',
+        'probe invariant violated: model_popcorn_tiled(50000, ...) > pop_small',
     )
     # tiled-vs-recompute crossover is set by d: re-streaming K over PCIe
     # costs ~4 bytes/entry/iter regardless of d, while recomputing it
@@ -236,10 +236,10 @@ def check_ext_memory_wall(result: ExperimentResult) -> None:
     hi_d = 4000
     check(
         model_popcorn_tiled(
-            big, hi_d, k, tile_rows=MEMORY_WALL_TILE, include_transfer=False
+            big, hi_d, k, chunk_rows=MEMORY_WALL_TILE, include_transfer=False
         ).total_s
         < model_onthefly(big, hi_d, k)["total_s"],
-        'probe invariant violated: model_popcorn_tiled( big, hi_d, k, tile_rows=MEMORY_WALL_TI...',
+        'probe invariant violated: model_popcorn_tiled(big, hi_d, ...) < onthefly',
     )
 
 
@@ -353,7 +353,7 @@ def run_ext_engine_tiling(cfg: RunConfig) -> ExperimentResult:
     ratios = []
     tiled_by_rows = {}
     for tile in tiles:
-        tiled = model_popcorn_tiled(n, d, k, tile_rows=tile, iters=ITERS, include_transfer=False)
+        tiled = model_popcorn_tiled(n, d, k, chunk_rows=tile, iters=ITERS, include_transfer=False)
         tiled_by_rows[tile] = tiled.total_s
         ratio = tiled.total_s / mono.total_s
         ratios.append(ratio)
@@ -377,7 +377,7 @@ def run_ext_engine_tiling(cfg: RunConfig) -> ExperimentResult:
         )
     )
     return ExperimentResult(
-        headers=("tile_rows", "peak_K_GB", "total_s", "transfer_s", "vs_monolithic"),
+        headers=("chunk_rows", "peak_K_GB", "total_s", "transfer_s", "vs_monolithic"),
         rows=tuple(rows),
         aux={"ratios": ratios},
         metrics={
@@ -599,8 +599,8 @@ def spectral_probe(cfg: RunConfig):
 
 
 def tiling_probe(cfg: RunConfig):
-    if cfg.tile_rows is None:
-        cfg = replace(cfg, tile_rows=64)
+    if cfg.chunk_rows is None:
+        cfg = replace(cfg, chunk_rows=64)
     return popcorn_probe(cfg)
 
 

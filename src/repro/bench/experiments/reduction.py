@@ -1,7 +1,7 @@
 """Registry entry for the chunked pairwise-reduction engine experiment.
 
-Compares the legacy row-tiled pipeline (materialise each ``tile_rows x k``
-distance block, then a separate argmin pass) against the chunked
+Compares the legacy pipeline (materialise the ``n x k`` distance block,
+then a separate argmin pass) against the chunked
 fused-argmin reduction (:mod:`repro.engine.reduction`) on the paper-scale
 workload — modeled makespans across a thread sweep, the fused engine's
 peak resident panel bytes, plus a small *executed* comparison that checks
@@ -17,8 +17,8 @@ import numpy as np
 
 from ...errors import check
 from ...core.assignment import argmin_assign
+from ...core.distances import popcorn_distances_host
 from ...engine.reduction import fused_popcorn_argmin
-from ...engine.tiling import tiled_popcorn_distances_host
 from ...estimators import make_estimator
 from ...modeling import model_popcorn_chunked, model_popcorn_tiled
 from ..registry import ExperimentResult, ExperimentSpec, RunConfig, register_experiment
@@ -53,7 +53,7 @@ def run_ext_reduction_engine(cfg: RunConfig) -> ExperimentResult:
     threads = (1, 4) if cfg.quick else REDUCTION_THREADS
 
     # ---- modeled: legacy tiled pipeline vs fused thread sweep ----------
-    legacy = model_popcorn_tiled(n, d, k, tile_rows=REDUCTION_CHUNK_ROWS, iters=ITERS)
+    legacy = model_popcorn_tiled(n, d, k, chunk_rows=REDUCTION_CHUNK_ROWS, iters=ITERS)
     rows = []
     modeled_by_t = {}
     panel_bytes = 0
@@ -82,7 +82,7 @@ def run_ext_reduction_engine(cfg: RunConfig) -> ExperimentResult:
     labels = np.random.default_rng(cfg.base_seed).integers(0, m_k, size=m_n).astype(np.int32)
     c_rows, c_cols = MEASURED_CHUNK
 
-    d_legacy, _ = tiled_popcorn_distances_host(km, labels, m_k, tile_rows=c_rows)
+    d_legacy, _ = popcorn_distances_host(km, labels, m_k)
     ref_labels = argmin_assign(d_legacy)
     fused = fused_popcorn_argmin(
         km, labels, m_k, chunk_rows=c_rows, chunk_cols=c_cols, n_threads=1
@@ -90,9 +90,7 @@ def run_ext_reduction_engine(cfg: RunConfig) -> ExperimentResult:
     labels_equal = bool(np.array_equal(fused.labels, ref_labels))
     min_d_equal = bool(np.array_equal(fused.min_d, d_legacy[np.arange(m_n), ref_labels]))
 
-    t_legacy = _time_best(
-        lambda: argmin_assign(tiled_popcorn_distances_host(km, labels, m_k, tile_rows=c_rows)[0])
-    )
+    t_legacy = _time_best(lambda: argmin_assign(popcorn_distances_host(km, labels, m_k)[0]))
     t_fused_1 = _time_best(
         lambda: fused_popcorn_argmin(
             km, labels, m_k, chunk_rows=c_rows, chunk_cols=c_cols, n_threads=1

@@ -50,14 +50,14 @@ class RunConfig:
     """Options shared by every experiment in one ``repro-bench run``.
 
     ``quick`` shrinks the dataset grid, k-sweep, and trial count to a
-    CI-friendly subset; ``backend`` / ``tile_rows`` are forwarded to the
+    CI-friendly subset; ``backend`` / ``chunk_rows`` are forwarded to the
     executed probes (the estimators accept the same keywords); ``n_trials``
     is the multi-trial protocol width handed to :func:`repro.harness.run_trials`.
     """
 
     quick: bool = False
     backend: str = "auto"
-    tile_rows: Optional[int] = None
+    chunk_rows: Optional[int] = None
     n_trials: Optional[int] = None
     base_seed: int = 0
 

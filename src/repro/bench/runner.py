@@ -174,7 +174,7 @@ def run_experiments(
         "config": {
             "quick": cfg.quick,
             "backend": cfg.backend,
-            "tile_rows": cfg.tile_rows,
+            "chunk_rows": cfg.chunk_rows,
             "n_trials": cfg.trials(),
             "base_seed": cfg.base_seed,
         },

@@ -17,7 +17,7 @@ Mirrors the flag set documented in the paper's Appendix A.4::
     -o STR      write clustering results to a file
 
 plus reproduction-specific extras (``--device``, ``--backend``,
-``--devices`` for the sharded multi-device mode, ``--tile-rows``,
+``--devices`` for the sharded multi-device mode, ``--chunk-rows``,
 ``--gram-method``, ``--breakdown``).  Prints modeled timings, since the
 GPU is simulated.
 
@@ -102,14 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="G",
         help="run on G simulated devices (implies --backend sharded; "
         "the row-partitioned SPMD mode with modeled collectives)",
-    )
-    p.add_argument(
-        "--tile-rows",
-        dest="tile_rows",
-        type=int,
-        default=None,
-        metavar="R",
-        help="deprecated alias of --chunk-rows",
     )
     p.add_argument(
         "--chunk-rows",
@@ -203,12 +195,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         backend = f"sharded:{args.devices}"
     sharded = backend.startswith("sharded")
     on_device = not sharded and backend in ("auto", "device")
-    if args.tile_rows is not None and args.impl != 2:
-        print("note: --tile-rows only applies to the Popcorn implementation (-l 2)",
+    if args.chunk_rows is not None and args.impl != 2:
+        print("note: --chunk-rows only applies to the Popcorn implementation (-l 2)",
               file=sys.stderr)
     # registry-driven construction (no estimator-class switch): the -l
     # flag maps to a registry name, and flags an estimator does not
-    # declare (init/tile_rows/gram_method for the baseline) are dropped
+    # declare (init/chunk_rows/gram_method for the baseline) are dropped
     estimator_name = "popcorn" if args.impl == 2 else "baseline"
     supported = get_estimator_class(estimator_name).param_specs()
     if args.init != "random" and "init" not in supported:
@@ -222,7 +214,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "kernel": kern,
             "device": device,
             "backend": backend,
-            "tile_rows": args.tile_rows,
             "chunk_rows": args.chunk_rows,
             "chunk_cols": args.chunk_cols,
             "n_threads": args.n_threads,

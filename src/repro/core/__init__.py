@@ -16,11 +16,7 @@ from .norms import (
 from .onthefly import OnTheFlyKernelKMeans, model_onthefly
 from .popcorn import PopcornKernelKMeans
 from .selection import build_selection, selection_dense, verify_selection_invariants
-from .weighted import (
-    WeightedPopcornKernelKMeans,
-    weighted_distances_host,
-    weighted_selection_matrix,
-)
+from .weighted import WeightedPopcornKernelKMeans, weighted_selection_matrix
 
 __all__ = [
     "PopcornKernelKMeans",
@@ -28,7 +24,6 @@ __all__ = [
     "model_onthefly",
     "WeightedPopcornKernelKMeans",
     "weighted_selection_matrix",
-    "weighted_distances_host",
     "build_selection",
     "selection_dense",
     "verify_selection_invariants",

@@ -9,7 +9,8 @@ centroid norms.  Three implementations live here:
 
 * :func:`distance_matrix_reference` — dense brute force (tests);
 * :func:`popcorn_distances_host` — the SpMM + SpMV pipeline on plain
-  NumPy/CSR (no device, used by property tests);
+  NumPy/CSR, optionally weighted (no device; the bit-exact reference the
+  fused reduction is tested against);
 * :func:`popcorn_distance_step` — the full device pipeline (SpMM, gather,
   SpMV, fused add) charging modeled time; this is the body of Alg. 2
   lines 7-10 and what the estimator iterates.
@@ -26,7 +27,7 @@ from ..errors import ShapeError
 from ..gpu import custom, cusparse
 from ..gpu.device import Device
 from ..gpu.memory import DeviceArray
-from ..sparse import CSRMatrix, spmm, spmv
+from ..sparse import CSRMatrix, spmm, spmv, weighted_selection_matrix
 from .selection import build_selection
 
 __all__ = [
@@ -58,30 +59,37 @@ def distance_matrix_reference(k_mat: np.ndarray, labels: np.ndarray, k: int) -> 
 
 
 def popcorn_distances_host(
-    k_mat: np.ndarray, labels: np.ndarray, k: int, *, dtype=None
+    k_mat: np.ndarray, labels: np.ndarray, k: int, *, weights=None, dtype=None
 ) -> Tuple[np.ndarray, CSRMatrix]:
     """The SpMM/SpMV formulation on host arrays (no device bookkeeping).
 
     Returns the distances matrix ``D`` and the selection matrix ``V`` used
     to build it.  Mirrors Alg. 2 lines 7-10 exactly, including the
-    ``-2`` / ``-0.5`` scaling dance.
+    ``-2`` / ``-0.5`` scaling dance.  With ``weights`` the selection
+    matrix is the weighted ``V_w`` (values ``w_i / s_j``); it keeps one
+    nonzero per column, so the z-gather SpMV applies unchanged.
     """
     n = k_mat.shape[0]
+    if k_mat.shape != (n, n):
+        raise ShapeError("kernel matrix must be square")
     lab = check_labels(labels, n, k)
     dt = np.dtype(dtype) if dtype is not None else k_mat.dtype
-    v = build_selection(lab, k, dtype=dt)
+    km = k_mat.astype(dt, copy=False)
+    if weights is None:
+        v = build_selection(lab, k, dtype=dt)
+    else:
+        v = weighted_selection_matrix(lab, k, weights, dtype=dt)
     # E = -2 K V^T, computed in the sparse-times-dense orientation
-    e = np.ascontiguousarray(spmm(v, k_mat.astype(dt, copy=False), alpha=-2.0).T)
+    e = np.ascontiguousarray(spmm(v, km, alpha=-2.0).T)
     # centroid norms via the z-gather SpMV.  E is scaled by -2, so the
     # SpMV folds in -0.5 to cancel it: gathering the length-n label
-    # column first and scaling inside the SpMV avoids the second n x k
-    # temporary that ``-0.5 * e`` used to allocate (the -0.5 is an exact
-    # power-of-two scaling, so the result is bitwise unchanged).
+    # column first and scaling inside the SpMV avoids a second n x k
+    # temporary (the -0.5 is an exact power-of-two scaling)
     z = np.ascontiguousarray(e[np.arange(n), lab])
     c_norms = spmv(v, z, alpha=-0.5)
     d = e
-    d += np.diagonal(k_mat).astype(dt)[:, None]
-    d += c_norms[None, :].astype(dt)
+    d += np.diagonal(km)[:, None]
+    d += c_norms[None, :]
     return d, v
 
 

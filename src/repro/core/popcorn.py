@@ -13,8 +13,8 @@ On the default ``device`` backend every launch is charged to the device's
 profiler, so after ``fit`` the object exposes both the clustering result
 *and* the modeled performance profile (phase breakdown for Fig. 8, SpMM
 throughput for Fig. 5, ...).  The ``host`` backend runs the identical
-numerics on plain NumPy/CSR arrays, and ``tile_rows`` streams the kernel
-matrix in row tiles so datasets whose K exceeds device capacity still
+numerics on plain NumPy/CSR arrays, and ``chunk_rows`` streams the kernel
+matrix in row panels so datasets whose K exceeds device capacity still
 fit (the out-of-core mode of Sec. 7's memory-wall discussion).
 """
 
@@ -63,8 +63,7 @@ class PopcornKernelKMeans(BaseKernelKMeans):
         beyond device capacity still fit; on host-family backends it is
         the row-chunk height of the chunked fused reduction
         (:mod:`repro.engine.reduction`).  Labels are identical to the
-        monolithic run for any valid value.  ``tile_rows=`` is accepted
-        as a deprecated alias.
+        monolithic run for any valid value.
     chunk_cols, n_threads:
         Cluster-axis chunk and thread count of the chunked fused
         reduction — the host-side distance+argmin path that never
@@ -152,7 +151,6 @@ class PopcornKernelKMeans(BaseKernelKMeans):
         kernel: Kernel | str = None,
         device: Device | DeviceSpec | None = None,
         backend: str = "auto",
-        tile_rows: int | None = None,
         chunk_rows: int | None = None,
         chunk_cols: int | None = None,
         n_threads: int | None = None,
@@ -174,7 +172,6 @@ class PopcornKernelKMeans(BaseKernelKMeans):
             kernel=kernel,
             device=device,
             backend=backend,
-            tile_rows=tile_rows,
             chunk_rows=chunk_rows,
             chunk_cols=chunk_cols,
             n_threads=n_threads,

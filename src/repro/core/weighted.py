@@ -17,13 +17,14 @@ replacing the selection matrix's values ``1/|L_j|`` with ``w_i / s_j``:
   ``z_i = (K V_w^T)_{i, cluster(i)}`` — the O(n) route survives weighting.
 
 The weighted selection matrix construction lives in
-:func:`repro.sparse.weighted_selection_matrix` (re-exported here); this
-module provides the weighted distance pipeline (host form) and
-:class:`WeightedPopcornKernelKMeans`, which runs on the shared engine —
-so it accepts ``backend=`` (``"host"`` by default; ``"device"`` drives
-the same ``V_w`` pipeline through the simulated-GPU shims with modeled
-timings) and ``tile_rows`` (the row-tiled streaming mode).  The spectral
-extension (:mod:`repro.graph`) builds on it.
+:func:`repro.sparse.weighted_selection_matrix` (re-exported here), and
+the host reference pipeline is
+:func:`repro.core.distances.popcorn_distances_host` with ``weights=``.
+This module provides :class:`WeightedPopcornKernelKMeans`, which runs on
+the shared engine — so it accepts ``backend=`` (``"host"`` by default;
+``"device"`` drives the same ``V_w`` pipeline through the simulated-GPU
+shims with modeled timings) and ``chunk_rows`` (the row-chunked mode).
+The spectral extension (:mod:`repro.graph`) builds on it.
 """
 
 from __future__ import annotations
@@ -32,45 +33,16 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix, as_vector, check_labels
+from .._typing import as_matrix, as_vector
 from ..engine.base import BaseKernelKMeans, shared_params
 from ..errors import ConfigError, ShapeError
 from ..estimators import register_estimator
 from ..gpu.device import Device
 from ..gpu.spec import DeviceSpec
 from ..kernels import Kernel
-from ..sparse import spmm, spmv, weighted_selection_matrix
+from ..sparse import weighted_selection_matrix
 
-__all__ = [
-    "weighted_selection_matrix",
-    "weighted_distances_host",
-    "WeightedPopcornKernelKMeans",
-]
-
-
-def weighted_distances_host(
-    k_mat: np.ndarray, labels: np.ndarray, k: int, weights: np.ndarray
-) -> np.ndarray:
-    """Weighted matrix-centric distances ``D = -2 K V_w^T + P~ + C~``.
-
-    The unweighted ``w = 1`` case reduces exactly to
-    :func:`repro.core.distances.popcorn_distances_host` (tested).
-    """
-    n = k_mat.shape[0]
-    if k_mat.shape != (n, n):
-        raise ShapeError("kernel matrix must be square")
-    lab = check_labels(labels, n, k)
-    v = weighted_selection_matrix(lab, k, weights, dtype=k_mat.dtype)
-    e = np.ascontiguousarray(spmm(v, k_mat, alpha=-2.0).T)
-    # weighted z-gather SpMV: diag(V_w K V_w^T) = V_w z.  Gather the
-    # length-n label column first and fold the -0.5 (exact power-of-two
-    # scaling) into the SpMV instead of allocating a second n x k array.
-    z = np.ascontiguousarray(e[np.arange(n), lab])
-    c_norms = spmv(v, z, alpha=-0.5)
-    d = e
-    d += np.diagonal(k_mat)[:, None]
-    d += c_norms[None, :]
-    return d
+__all__ = ["weighted_selection_matrix", "WeightedPopcornKernelKMeans"]
 
 
 @register_estimator(
@@ -128,7 +100,6 @@ class WeightedPopcornKernelKMeans(BaseKernelKMeans):
         *,
         kernel: Kernel | str = None,
         backend: str = "auto",
-        tile_rows: int | None = None,
         chunk_rows: int | None = None,
         chunk_cols: int | None = None,
         n_threads: int | None = None,
@@ -147,7 +118,6 @@ class WeightedPopcornKernelKMeans(BaseKernelKMeans):
             n_clusters=n_clusters,
             kernel=kernel,
             backend=backend,
-            tile_rows=tile_rows,
             chunk_rows=chunk_rows,
             chunk_cols=chunk_cols,
             n_threads=n_threads,

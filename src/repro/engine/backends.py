@@ -16,10 +16,10 @@ implementations are registered:
 Both backends run the **same numerics**: the host pipeline and the device
 shims share the CSR kernels, and scalings are powers of two, so
 ``backend="host"`` and ``backend="device"`` produce identical labels from
-identical seeds (tested).  Both honour ``tile_rows`` — the row-tiled
-pipeline of :mod:`repro.engine.tiling` — which on the device backend
-streams kernel-matrix panels from host memory instead of requiring K to
-be resident, converting the device memory wall into a transfer cost.
+identical seeds (tested).  Both honour ``chunk_rows``: the host backend
+chunks its fused reduction, and the device backend streams kernel-matrix
+panels from host memory instead of requiring K to be resident, converting
+the device memory wall into a transfer cost.
 """
 
 from __future__ import annotations
@@ -41,8 +41,12 @@ from ..gpu.spec import DeviceSpec
 from ..kernels.base import Kernel
 from ..kernels.dispatch import choose_gram_method
 from ..kernels.gram import device_kernel_matrix
-from .reduction import fused_popcorn_argmin, validate_chunk_size, validate_n_threads
-from .tiling import row_tiles, validate_tile_rows
+from .reduction import (
+    chunk_ranges,
+    fused_popcorn_argmin,
+    validate_chunk_size,
+    validate_n_threads,
+)
 
 __all__ = [
     "Backend",
@@ -70,10 +74,9 @@ class EngineState:
     backend: "Backend"
     n_clusters: int
     dtype: np.dtype
-    tile_rows: Optional[int]
     profiler: Profiler
-    # chunked-reduction engine knobs (host-family backends); ``tile_rows``
-    # doubles as the ``chunk_rows`` compatibility alias when unset
+    # row granularity: the fused-reduction chunk height on host-family
+    # backends, the streamed K panel height on the device backend
     chunk_rows: Optional[int] = None
     chunk_cols: Optional[int] = None
     n_threads: Optional[int] = None
@@ -205,7 +208,6 @@ class Backend(ABC):
         *,
         n_clusters: int,
         dtype,
-        tile_rows: Optional[int] = None,
         chunk_rows: Optional[int] = None,
         chunk_cols: Optional[int] = None,
         n_threads: Optional[int] = None,
@@ -423,7 +425,6 @@ class HostBackend(Backend):
         *,
         n_clusters,
         dtype,
-        tile_rows=None,
         chunk_rows=None,
         chunk_cols=None,
         n_threads=None,
@@ -435,7 +436,6 @@ class HostBackend(Backend):
             backend=self,
             n_clusters=int(n_clusters),
             dtype=np.dtype(dtype),
-            tile_rows=validate_tile_rows(tile_rows),
             chunk_rows=validate_chunk_size(chunk_rows, "chunk_rows"),
             chunk_cols=validate_chunk_size(chunk_cols, "chunk_cols"),
             n_threads=validate_n_threads(n_threads),
@@ -461,24 +461,20 @@ class HostBackend(Backend):
         _check_gram_expressible(kernel)
         t0 = time.perf_counter()
         n, d = x.shape
-        tiled = state.chunk_rows is not None or state.tile_rows is not None
-        used = _resolve_gram_method(method, threshold, n, d, tiled)
+        used = _resolve_gram_method(method, threshold, n, d, state.chunk_rows is not None)
         state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, used)
         state.n = n
         state.gram_method = used
         self._record(state, "kernel_matrix", "kernel_matrix", t0)
 
     def popcorn_step(self, state, labels, weights=None) -> DistanceStep:
-        # the chunked fused reduction is the one distance path;
-        # ``tile_rows`` is honoured as a ``chunk_rows`` compatibility
-        # alias when no explicit chunk size is given
+        # the chunked fused reduction is the one distance path
         t0 = time.perf_counter()
-        rows = state.chunk_rows if state.chunk_rows is not None else state.tile_rows
         fused = fused_popcorn_argmin(
             state.k_host,
             labels,
             state.n_clusters,
-            chunk_rows=rows,
+            chunk_rows=state.chunk_rows,
             chunk_cols=state.chunk_cols,
             n_threads=state.n_threads,
             weights=weights,
@@ -517,9 +513,9 @@ class DeviceBackend(Backend):
     """The simulated-GPU launch path (Popcorn's execution model).
 
     Monolithic mode keeps K resident and reproduces the pre-engine launch
-    sequence exactly.  With ``tile_rows``, K lives in host memory and the
-    per-iteration SpMM streams one ``n x tile_rows`` panel at a time over
-    PCIe — peak device memory drops from O(n^2) to O(tile_rows * n), so
+    sequence exactly.  With ``chunk_rows``, K lives in host memory and the
+    per-iteration SpMM streams one ``n x chunk_rows`` panel at a time over
+    PCIe — peak device memory drops from O(n^2) to O(chunk_rows * n), so
     kernel matrices beyond capacity fit (the cost model charges the
     transfers, turning the memory wall into a bandwidth price).
     """
@@ -532,7 +528,6 @@ class DeviceBackend(Backend):
         *,
         n_clusters,
         dtype,
-        tile_rows=None,
         chunk_rows=None,
         chunk_cols=None,
         n_threads=None,
@@ -544,20 +539,14 @@ class DeviceBackend(Backend):
             raise ConfigError(
                 "chunk_cols/n_threads configure the host-side chunked "
                 "reduction engine; the device backend only streams row panels "
-                "(chunk_rows=/tile_rows=) — use backend='host' (or "
-                "'sharded:<g>') for chunked execution"
+                "(chunk_rows=) — use backend='host' (or 'sharded:<g>') for "
+                "chunked execution"
             )
-        # ``chunk_rows`` is the canonical row-granularity knob; on the
-        # device backend it sets the streamed panel height (what
-        # ``tile_rows`` configured before the rename)
-        rows = validate_chunk_size(chunk_rows, "chunk_rows")
-        if rows is None:
-            rows = validate_tile_rows(tile_rows)
         return EngineState(
             backend=self,
             n_clusters=int(n_clusters),
             dtype=np.dtype(dtype),
-            tile_rows=rows,
+            chunk_rows=validate_chunk_size(chunk_rows, "chunk_rows"),
             profiler=device.profiler,
             device=device,
             spec=device.spec,
@@ -578,30 +567,30 @@ class DeviceBackend(Backend):
 
         Monolithic mode is dominated by the dense ``n x n`` kernel matrix
         plus the ``n x k`` distance buffer; tiled mode replaces the n^2
-        term with one streamed ``tile_rows x n`` panel.
+        term with one streamed ``chunk_rows x n`` panel.
         """
         device = state.device
         itemsize = state.dtype.itemsize
         k = state.n_clusters
-        if state.tile_rows is None:
+        if state.chunk_rows is None:
             required = itemsize * (n * n + 2.0 * n * k + 4.0 * n)
             if required > device.capacity_bytes:
                 raise AllocationError(
                     f"kernel k-means on n={n} points needs ~{required / 1e9:.1f} GB "
                     f"but {device.spec.name} has {device.spec.mem_capacity_gb:g} GB; "
-                    "stream the kernel matrix with tile_rows=, partition it with "
+                    "stream the kernel matrix with chunk_rows=, partition it with "
                     "repro.distributed.DistributedPopcornKernelKMeans or reduce n "
                     "(e.g. repro.approx.NystromKernelKMeans)"
                 )
         else:
-            tile = min(state.tile_rows, n)
+            tile = min(state.chunk_rows, n)
             required = itemsize * (tile * n + 2.0 * n * k + 6.0 * n)
             if required > device.capacity_bytes:
                 raise AllocationError(
                     f"tiled kernel k-means on n={n} points still needs "
-                    f"~{required / 1e9:.1f} GB for one tile_rows={tile} panel plus the "
+                    f"~{required / 1e9:.1f} GB for one chunk_rows={tile} panel plus the "
                     f"n x k distance buffer, but {device.spec.name} has "
-                    f"{device.spec.mem_capacity_gb:g} GB; reduce tile_rows (or use "
+                    f"{device.spec.mem_capacity_gb:g} GB; reduce chunk_rows (or use "
                     "repro.distributed.DistributedPopcornKernelKMeans)"
                 )
 
@@ -611,7 +600,7 @@ class DeviceBackend(Backend):
     def load_kernel_matrix(self, state: EngineState, km: np.ndarray) -> None:
         device = state.device
         state.n = km.shape[0]
-        if state.tile_rows is None:
+        if state.chunk_rows is None:
             state.k_op = device.h2d(km)
             with state.profiler.phase("kernel_matrix"):
                 state.p_norms = custom.diag_extract(device, state.k_op)
@@ -628,7 +617,7 @@ class DeviceBackend(Backend):
         device = state.device
         n, d = x.shape
         state.n = n
-        if state.tile_rows is None:
+        if state.chunk_rows is None:
             p_buf = device.h2d(x)
             with state.profiler.phase("kernel_matrix"):
                 state.k_op, state.p_norms, used = device_kernel_matrix(
@@ -647,14 +636,14 @@ class DeviceBackend(Backend):
         state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, used)
         itemsize = state.dtype.itemsize
         with state.profiler.phase("kernel_matrix"):
-            for lo, hi in row_tiles(n, state.tile_rows):
+            for lo, hi in chunk_ranges(n, state.chunk_rows):
                 device.record(cost.gemm_tile_cost(device.spec, hi - lo, n, d))
                 device.record(
                     cost.transform_tile_cost(device.spec, hi - lo, n, kernel.flops_per_entry)
                 )
             device.record(cost.diag_extract_cost(device.spec, n))
         with state.profiler.phase("transfer"):
-            for lo, hi in row_tiles(n, state.tile_rows):
+            for lo, hi in chunk_ranges(n, state.chunk_rows):
                 device.record(cost.d2h_cost(device.spec, itemsize * (hi - lo) * n))
         p_buf.free()
         state.p_norms = device.h2d(state.p_norms_host)
@@ -667,7 +656,7 @@ class DeviceBackend(Backend):
         from ..core.distances import popcorn_distance_step
 
         device = state.device
-        if state.tile_rows is None:
+        if state.chunk_rows is None:
             d, v = popcorn_distance_step(
                 device, state.k_op, state.p_norms, labels, state.n_clusters, weights=weights
             )
@@ -682,7 +671,7 @@ class DeviceBackend(Backend):
             v = custom.v_build(device, lab, k, dtype=state.dtype, weights=weights)
         e = device.empty((n, k), dtype=state.dtype)
         z = device.empty((n,), dtype=state.dtype)
-        for lo, hi in row_tiles(n, state.tile_rows):
+        for lo, hi in chunk_ranges(n, state.chunk_rows):
             panel = np.ascontiguousarray(state.k_host[:, lo:hi])
             t_buf = device.h2d(panel)
             with prof.phase("distances"):
@@ -701,8 +690,8 @@ class DeviceBackend(Backend):
         return DistanceStep(d_buf=d, frees=(d, v))
 
     def baseline_step(self, state, labels) -> DistanceStep:
-        if state.tile_rows is not None:
-            raise ConfigError("the baseline distance step does not support tile_rows")
+        if state.chunk_rows is not None:
+            raise ConfigError("the baseline distance step does not support chunk_rows")
         device = state.device
         k = state.n_clusters
         lab = np.asarray(labels)

@@ -25,8 +25,8 @@ estimator in the package shares (the serving subsystem,
 *support set* — training points (or explicit feature-space centers),
 final labels, optional point weights, and the squared centroid norms —
 and queries are assigned by streaming the cross-kernel against that
-support in row tiles, so the full ``m x n`` cross-kernel matrix is never
-materialised.
+support in row chunks, so the full ``m x n`` cross-kernel matrix is
+never materialised.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .reduction import (
     CrossKernelArgmin,
     WorkStealingPool,
     chunk_ranges,
-    resolve_rows_alias,
     validate_chunk_size,
     validate_n_threads,
 )
@@ -84,11 +83,10 @@ class OutOfSamplePredictor(ParamsProtocol):
     Assignment drops the per-query constant ``kappa(q, q)``, which cannot
     move the argmin: ``d_qj = -2 s_qj + ||c_j||^2`` with ``s_qj`` either
     ``(K_c V^T)_qj`` (kernel support) or ``<phi(q), c_j>`` (centers).
-    ``chunk_rows`` streams the queries in row chunks (``tile_rows`` is
-    the deprecated alias) so only one ``chunk_rows x n_support``
-    cross-kernel panel is live at a time; the CSR SpMM computes output
-    columns independently, so any chunking is bit-identical to the
-    monolithic product.
+    ``chunk_rows`` streams the queries in row chunks so only one
+    ``chunk_rows x n_support`` cross-kernel panel is live at a time; the
+    CSR SpMM computes output columns independently, so any chunking is
+    bit-identical to the monolithic product.
     """
 
     #: support-set defaults (fit overwrites what applies)
@@ -213,20 +211,14 @@ class OutOfSamplePredictor(ParamsProtocol):
 
     def _query_features(self, xm: np.ndarray) -> np.ndarray:
         """Hook: map raw queries into the centers' feature space."""
+        d = self._support_centers.shape[1]
+        if xm.shape[1] != d:
+            raise ShapeError(f"feature dimension mismatch: {xm.shape[1]} vs {d}")
         return xm
 
     # ------------------------------------------------------------------
     # the shared prediction pipeline
     # ------------------------------------------------------------------
-    def _labels_from_cross(self, kc: np.ndarray) -> np.ndarray:
-        """Row argmin of ``-2 K_c V^T + C~`` for one cross-kernel panel."""
-        from ..sparse import spmm
-
-        v = self._support_selection()
-        kvt = spmm(v, np.ascontiguousarray(kc.T)).T  # (m, k)
-        d = -2.0 * kvt + self._c_norms[None, :]
-        return np.argmin(d, axis=1).astype(np.int32)
-
     def _labels_from_centers(self, q: np.ndarray) -> np.ndarray:
         """Row argmin of ``-2 Q C^T + C~`` against explicit centers."""
         d = -2.0 * (q @ self._support_centers.T) + self._c_norms[None, :]
@@ -271,7 +263,6 @@ class OutOfSamplePredictor(ParamsProtocol):
         x: Optional[np.ndarray] = None,
         *,
         cross_kernel: Optional[np.ndarray] = None,
-        tile_rows: Optional[int] = None,
         chunk_rows: Optional[int] = None,
         chunk_cols: Optional[int] = None,
         n_threads: Optional[int] = None,
@@ -285,15 +276,13 @@ class OutOfSamplePredictor(ParamsProtocol):
 
         Assignment runs through the chunked fused reduction
         (:mod:`repro.engine.reduction`): ``chunk_rows`` bounds the live
-        query block (``tile_rows`` is the deprecated alias for it),
-        ``chunk_cols`` bounds the live cluster block, and ``n_threads``
-        distributes query chunks over a work-stealing thread pool.
+        query block, ``chunk_cols`` bounds the live cluster block, and
+        ``n_threads`` distributes query chunks over a work-stealing thread
+        pool.
         Labels are bit-identical to the monolithic run for every setting.
         """
         self._require_fitted()
-        rows = resolve_rows_alias(
-            chunk_rows, tile_rows, owner=f"{type(self).__name__}.predict"
-        )
+        rows = validate_chunk_size(chunk_rows, "chunk_rows")
         cols = validate_chunk_size(chunk_cols, "chunk_cols")
         threads = validate_n_threads(n_threads)
         if cross_kernel is not None:
@@ -340,7 +329,6 @@ class OutOfSamplePredictor(ParamsProtocol):
         self,
         batches,
         *,
-        tile_rows: Optional[int] = None,
         chunk_rows: Optional[int] = None,
         chunk_cols: Optional[int] = None,
         n_threads: Optional[int] = None,
@@ -363,13 +351,7 @@ class OutOfSamplePredictor(ParamsProtocol):
         launches under the ``serve`` phase).
         """
         self._require_fitted()
-        kw = dict(
-            chunk_rows=resolve_rows_alias(
-                chunk_rows, tile_rows, owner=f"{type(self).__name__}.predict_batch"
-            ),
-            chunk_cols=chunk_cols,
-            n_threads=n_threads,
-        )
+        kw = dict(chunk_rows=chunk_rows, chunk_cols=chunk_cols, n_threads=n_threads)
         if devices is None:
             outs = [self.predict(b, **kw) for b in batches]
         else:
@@ -464,7 +446,6 @@ SHARED_PARAM_SPECS = {
         "chunk_rows",
         default=None,
         convert=lambda v: validate_chunk_size(v, "chunk_rows"),
-        aliases=("tile_rows",),
     ),
     "chunk_cols": ParamSpec(
         "chunk_cols", default=None, convert=lambda v: validate_chunk_size(v, "chunk_cols")
@@ -542,8 +523,6 @@ class BaseKernelKMeans(OutOfSamplePredictor):
         Row granularity of the distance pipeline: the chunk height of
         the fused reduction on host-family backends, the streamed panel
         height on the device backend; None runs monolithic.
-        ``tile_rows=`` is accepted as a deprecated alias (the ParamSpec
-        remaps it with a :class:`DeprecationWarning`).
     chunk_cols, n_threads:
         Cluster-axis chunk and thread count of the fused reduction
         engine (:mod:`repro.engine.reduction`); host-family backends
@@ -569,11 +548,8 @@ class BaseKernelKMeans(OutOfSamplePredictor):
 
     #: class-level defaults for the engine knobs, so subclasses that
     #: exclude one from their parameter surface (e.g. the baseline has no
-    #: row tiling, the spectral estimator owns its init) still satisfy the
-    #: attribute contract the shared fit loop reads.  ``tile_rows`` is no
-    #: longer a parameter (``chunk_rows`` aliases it) but stays an
-    #: attribute for the backend ``begin`` contract.
-    tile_rows = None
+    #: row chunking, the spectral estimator owns its init) still satisfy
+    #: the attribute contract the shared fit loop reads.
     chunk_rows = None
     chunk_cols = None
     n_threads = None
@@ -616,7 +592,6 @@ class BaseKernelKMeans(OutOfSamplePredictor):
         n_clusters: int,
         *,
         backend: str = "auto",
-        tile_rows: Optional[int] = None,
         chunk_rows: Optional[int] = None,
         chunk_cols: Optional[int] = None,
         n_threads: Optional[int] = None,
@@ -632,7 +607,6 @@ class BaseKernelKMeans(OutOfSamplePredictor):
         self._init_params(
             n_clusters=n_clusters,
             backend=backend,
-            tile_rows=tile_rows,
             chunk_rows=chunk_rows,
             chunk_cols=chunk_cols,
             n_threads=n_threads,
@@ -696,8 +670,8 @@ class BaseKernelKMeans(OutOfSamplePredictor):
 
     def _wants_chunked(self) -> bool:
         # chunk_rows alone stays backend-neutral (the device backend
-        # folds it into its streamed panel height, preserving the old
-        # tile_rows semantics); chunk_cols/n_threads are host-only
+        # streams K in panels of that height); chunk_cols/n_threads are
+        # host-only
         return any(
             getattr(self, p, None) is not None for p in ("chunk_cols", "n_threads")
         )
@@ -723,7 +697,6 @@ class BaseKernelKMeans(OutOfSamplePredictor):
         state = be.begin(
             n_clusters=self.n_clusters,
             dtype=self.dtype,
-            tile_rows=self.tile_rows,
             chunk_rows=getattr(self, "chunk_rows", None),
             chunk_cols=getattr(self, "chunk_cols", None),
             n_threads=getattr(self, "n_threads", None),

@@ -1,10 +1,10 @@
-"""Chunked pairwise-reduction engine with fused argmin (ROADMAP item 1).
+"""Chunked pairwise-reduction engine with fused argmin.
 
-The row-tiled pipeline (:mod:`repro.engine.tiling`) streams K, but it
-still materialises the full ``n x k`` distance block E and then runs a
-separate row-wise argmin over it, serially.  This module is the
-cache-blocked, thread-parallel middle layer that removes both costs,
-modeled on scikit-learn's ``pairwise_distances_reduction`` architecture:
+The plain distance pipeline materialises the full ``n x k`` distance
+block E and then runs a separate row-wise argmin over it, serially.
+This module is the cache-blocked, thread-parallel middle layer that
+removes both costs, modeled on scikit-learn's
+``pairwise_distances_reduction`` architecture:
 
 * :class:`PairwiseReduction` is the base *spec* — it owns the chunk
   schedule (both the sample axis and the cluster/centroid axis are
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -71,7 +70,6 @@ __all__ = [
     "DEFAULT_CHUNK_COLS",
     "validate_chunk_size",
     "validate_n_threads",
-    "resolve_rows_alias",
     "chunk_ranges",
     "csr_row_slice",
     "WorkStealingPool",
@@ -102,35 +100,6 @@ def validate_chunk_size(value, name: str = "chunk_rows") -> Optional[int]:
     if r < 1:
         raise ConfigError(f"{name} must be >= 1 (or None for a single chunk), got {value}")
     return r
-
-
-def resolve_rows_alias(chunk_rows, tile_rows, *, owner: str) -> Optional[int]:
-    """The method-kwarg face of the ``tile_rows`` -> ``chunk_rows`` rename.
-
-    Constructor parameters go through :class:`~repro.params.ParamSpec`
-    alias support; call-site keywords (``predict``, ``predict_batch``,
-    the serving layer, the CLIs) route through here instead — the one
-    other place the :class:`DeprecationWarning` lives.  Passing both
-    spellings with different values is a
-    :class:`~repro.errors.ConfigError`.
-    """
-    rows = validate_chunk_size(chunk_rows, "chunk_rows")
-    tiled = validate_chunk_size(tile_rows, "tile_rows")
-    if tiled is None:
-        return rows
-    if rows is not None:
-        if rows != tiled:
-            raise ConfigError(
-                f"{owner} got both chunk_rows={rows} and its deprecated "
-                f"alias tile_rows={tiled}; pass only chunk_rows="
-            )
-        return rows
-    warnings.warn(
-        f"tile_rows= is deprecated for {owner}; use chunk_rows=",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return tiled
 
 
 def validate_n_threads(value) -> Optional[int]:

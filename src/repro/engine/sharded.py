@@ -16,8 +16,8 @@ the kernel matrix (:func:`repro.distributed.partition.row_blocks`):
 
 **Numerics are the host backend's, bit for bit.**  The CSR SpMM computes
 every output row independently, so the row-sharded product is identical
-to the monolithic one (the same property the row-tiled pipeline of
-:mod:`repro.engine.tiling` rests on); the backend therefore executes the
+to the monolithic one (the same property the chunked fused reduction
+of :mod:`repro.engine.reduction` rests on); the backend therefore executes the
 exact host pipeline once while the *cost model* charges per-device
 rectangular panels (:mod:`repro.distributed.costs`) and ring collectives
 (:mod:`repro.distributed.comm`).  ``backend="sharded:<g>"`` and
@@ -57,7 +57,6 @@ from .backends import (
     register_backend,
 )
 from .reduction import fused_popcorn_argmin, validate_chunk_size, validate_n_threads
-from .tiling import validate_tile_rows
 
 __all__ = ["ShardedBackend", "DEFAULT_SHARD_DEVICES", "modeled_predict_batch_s"]
 
@@ -171,7 +170,6 @@ class ShardedBackend(Backend):
         *,
         n_clusters,
         dtype,
-        tile_rows=None,
         chunk_rows=None,
         chunk_cols=None,
         n_threads=None,
@@ -186,7 +184,6 @@ class ShardedBackend(Backend):
             backend=self,
             n_clusters=int(n_clusters),
             dtype=np.dtype(dtype),
-            tile_rows=validate_tile_rows(tile_rows),
             chunk_rows=validate_chunk_size(chunk_rows, "chunk_rows"),
             chunk_cols=validate_chunk_size(chunk_cols, "chunk_cols"),
             n_threads=validate_n_threads(n_threads),
@@ -312,13 +309,12 @@ class ShardedBackend(Backend):
         # model below is unchanged — it charges the same per-device
         # rectangular panels and collectives as before, so modeled
         # strong-scaling metrics stay comparable across code versions
-        rows_chunk = state.chunk_rows if state.chunk_rows is not None else state.tile_rows
         with trace.span("sharded.step", devices=state.n_devices, n=n, k=k):
             fused = fused_popcorn_argmin(
                 state.k_host,
                 labels,
                 k,
-                chunk_rows=rows_chunk,
+                chunk_rows=state.chunk_rows,
                 chunk_cols=state.chunk_cols,
                 n_threads=state.n_threads,
                 weights=weights,
@@ -342,8 +338,6 @@ class ShardedBackend(Backend):
             rect_baseline_reduce_cost,
         )
 
-        if state.tile_rows is not None:
-            raise ConfigError("the baseline distance step does not support tile_rows")
         n, k = state.n, state.n_clusters
         lab = np.asarray(labels)
         counts = np.bincount(lab, minlength=k).astype(np.int64)

@@ -183,7 +183,7 @@ def make_estimator(name: str, **params):
     """
     cls = get_estimator_class(name)
     specs = cls.param_specs()
-    unknown = set(params) - set(specs) - set(cls.param_aliases())
+    unknown = set(params) - set(specs)
     if unknown:
         raise ConfigError(
             f"unknown parameter(s) {sorted(unknown)} for estimator {name!r} "
@@ -206,17 +206,9 @@ def filter_params(name: str, params: Dict[str, object]) -> Dict[str, object]:
     The CLI idiom: offer one flag set for every model and forward only
     what the estimator's parameter surface accepts (``kernel`` for the
     kernel family but not Lloyd/Elkan, ``chunk_rows`` for Popcorn, ...).
-    Deprecated aliases (``tile_rows``) pass through too — the params
-    protocol remaps them with the one central ``DeprecationWarning``.
     """
-    cls = get_estimator_class(name)
-    supported = cls.param_specs()
-    aliases = cls.param_aliases()
-    return {
-        key: value
-        for key, value in params.items()
-        if key in supported or key in aliases
-    }
+    supported = get_estimator_class(name).param_specs()
+    return {key: value for key, value in params.items() if key in supported}
 
 
 def estimator_name(obj) -> str:

@@ -139,7 +139,7 @@ def model_popcorn_tiled(
     d: int,
     k: int,
     *,
-    tile_rows: int,
+    chunk_rows: int,
     iters: int = 30,
     spec: DeviceSpec = A100_80GB,
     kernel_flops_per_entry: float = 4.0,
@@ -148,16 +148,16 @@ def model_popcorn_tiled(
     """Analytical launch log of a row-tiled (out-of-core) Popcorn run.
 
     Mirrors the engine's streaming mode launch for launch: the kernel
-    matrix is built in ``tile_rows x n`` GEMM panels and written back to
+    matrix is built in ``chunk_rows x n`` GEMM panels and written back to
     host memory, then every iteration re-streams the panels over PCIe for
     the tiled SpMM.  K is never resident, so the device footprint is
-    O(tile_rows * n) — the run is feasible at any ``n`` — and the price is
+    O(chunk_rows * n) — the run is feasible at any ``n`` — and the price is
     the per-iteration H2D traffic this model charges.
     """
     _check(n, d, k, iters)
-    from .engine.tiling import row_tiles
+    from .engine.reduction import chunk_ranges
 
-    tiles = row_tiles(n, tile_rows)
+    tiles = chunk_ranges(n, chunk_rows)
     prof = Profiler()
     if include_transfer:
         with prof.phase("transfer"):

@@ -85,7 +85,6 @@ Micro-batching knobs (:class:`PredictionService`)
 ``n_workers``      worker threads serving batches concurrently
 ``cache_size``     LRU entries memoised by query-row digest (0 = off)
 ``chunk_rows``     row-chunk bound on the live cross-kernel panel
-                   (``tile_rows`` is a deprecated alias)
 
 Lock discipline (``_guarded_by``)
 ---------------------------------

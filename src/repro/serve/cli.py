@@ -40,9 +40,6 @@ version, cache provenance, latency) as JSON.
 wall-clock span tracing (:mod:`repro.obs`) and writes a combined
 Perfetto/chrome-trace of the request lifecycle next to the service's
 profiler lanes.
-
-Row-chunking flags take ``--chunk-rows`` everywhere; ``--tile-rows`` is
-kept as a deprecated alias and will be removed.
 """
 
 from __future__ import annotations
@@ -119,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--devices", type=int, default=None, metavar="G",
         help="fit on G simulated devices (implies --backend sharded)",
     )
-    save_p.add_argument("--tile-rows", dest="tile_rows", type=int, default=None, metavar="R",
-                        help="deprecated alias of --chunk-rows")
     add_reduction_flags(save_p)
     save_p.add_argument("-o", dest="output", required=True, help="artifact path (.npz)")
 
@@ -136,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     pred_p.add_argument("--max-delay-ms", type=float, default=1.0)
     pred_p.add_argument("--workers", type=int, default=1)
     pred_p.add_argument("--cache-size", type=int, default=1024)
-    pred_p.add_argument("--tile-rows", dest="tile_rows", type=int, default=None, metavar="R",
-                        help="deprecated alias of --chunk-rows")
     add_reduction_flags(pred_p)
     pred_p.add_argument(
         "--devices", type=int, default=None, metavar="G",
@@ -156,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--max-delay-ms", type=float, default=2.0)
     serve_p.add_argument("--workers", type=int, default=2)
     serve_p.add_argument("--cache-size", type=int, default=4096)
-    serve_p.add_argument("--tile-rows", dest="tile_rows", type=int, default=None, metavar="R",
-                        help="deprecated alias of --chunk-rows")
     add_reduction_flags(serve_p)
     serve_p.add_argument(
         "--devices", type=int, default=None, metavar="G",
@@ -286,7 +277,7 @@ def _fit_model(args):
 
     The CLI offers one flag set for every model; flags an estimator does
     not declare in its parameter surface (``kernel`` for Lloyd/Elkan,
-    ``tile_rows`` for most) are simply not forwarded.
+    ``chunk_cols`` for Lloyd/Elkan) are simply not forwarded.
     """
     from ..errors import ConfigError
 
@@ -306,7 +297,6 @@ def _fit_model(args):
         "n_clusters": args.k,
         "kernel": args.kernel,
         "backend": backend,
-        "tile_rows": args.tile_rows,
         "chunk_rows": args.chunk_rows,
         "chunk_cols": args.chunk_cols,
         "n_threads": args.n_threads,
@@ -384,7 +374,6 @@ def _cmd_predict(args) -> int:
         max_delay_ms=args.max_delay_ms,
         n_workers=args.workers,
         cache_size=args.cache_size,
-        tile_rows=args.tile_rows,
         chunk_rows=args.chunk_rows,
         chunk_cols=args.chunk_cols,
         n_threads=args.n_threads,
@@ -434,7 +423,6 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
         max_delay_ms=args.max_delay_ms,
         n_workers=args.workers,
         cache_size=args.cache_size,
-        tile_rows=args.tile_rows,
         chunk_rows=args.chunk_rows,
         chunk_cols=args.chunk_cols,
         n_threads=args.n_threads,

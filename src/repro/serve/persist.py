@@ -43,7 +43,8 @@ reconstructs the live online state, so ``partial_fit`` continues exactly
 where the saved model stopped (the reassignment RNG is reseeded from the
 ``seed`` parameter — artifacts stay pickle-free).
 
-Loading rejects non-artifacts, unknown estimator names, and any
+Loading rejects non-artifacts, damaged artifacts (every array is read
+inside one guarded block), unknown estimator names, and any
 ``schema_version`` other than the current one with a clear
 :class:`~repro.errors.ConfigError` — never a bare traceback.
 """
@@ -168,34 +169,52 @@ def save_model(model, path: str) -> str:
     return path
 
 
+#: what reading a damaged zip member raises: zipfile's CRC and header
+#: checks (BadZipFile), numpy's ``.npy`` header parser (ValueError),
+#: short records (OSError, EOFError), and flipped flag or method fields
+#: (RuntimeError: "encrypted", or its NotImplementedError subclass for an
+#: unknown compression method)
+_READ_ERRORS = (zipfile.BadZipFile, ValueError, OSError, EOFError, RuntimeError)
+
+
 def _read_artifact(path: str):
-    """Open an artifact; returns ``(meta dict, npz file)`` or raises ConfigError."""
+    """Read an artifact whole; returns ``(meta dict, {key: array})``.
+
+    ``np.load`` opens an ``.npz`` lazily, so every member is read here,
+    inside the one guarded block: a damaged payload raises
+    :class:`~repro.errors.ConfigError` naming the path, never a raw
+    zipfile or numpy error on first access.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"no such model artifact: {path}")
     try:
         npz = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError, OSError) as exc:
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ConfigError("a bare .npy array, not an .npz archive")
+        with npz:
+            arrays = {key: npz[key] for key in npz.files}
+    except _READ_ERRORS as exc:
         raise ConfigError(f"{path}: not a readable model artifact: {exc}") from exc
-    if "__meta__" not in npz.files:
-        npz.close()
+    header = arrays.pop("__meta__", None)
+    if header is None:
         raise ConfigError(f"{path}: missing metadata header; not a {MODEL_FORMAT} artifact")
     try:
-        meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
+        meta = json.loads(bytes(header).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        npz.close()
         raise ConfigError(f"{path}: corrupt metadata header: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
-        npz.close()
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} artifact")
     if meta.get("schema_version") != MODEL_SCHEMA_VERSION:
         got = meta.get("schema_version")
-        npz.close()
         raise ConfigError(
             f"{path}: model schema version {got!r} is not supported by this "
             f"package (expected {MODEL_SCHEMA_VERSION}); refit the estimator "
             "with this version and save_model it again"
         )
-    return meta, npz
+    missing = sorted(set(meta.get("arrays") or ()) - set(arrays))
+    if missing:
+        raise ConfigError(f"{path}: damaged artifact; header lists missing array(s) {missing}")
+    return meta, arrays
 
 
 def load_model(path: str):
@@ -207,62 +226,55 @@ def load_model(path: str):
     way in); all arrays load bit-exactly, so ``predict`` is bit-identical
     to the estimator that was saved.
     """
-    meta, npz = _read_artifact(path)
+    meta, arrays = _read_artifact(path)
+    name = meta.get("estimator")
     try:
-        name = meta.get("estimator")
-        try:
-            model = estimator_from_config(name, meta.get("params"))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: unknown estimator config: {exc}") from exc
-        fit = meta.get("fit") or {}
-        if fit.get("n_iter") is not None:
-            model.n_iter_ = int(fit["n_iter"])
-        if fit.get("objective") is not None:
-            model.objective_ = float(fit["objective"])
-        if fit.get("converged") is not None:
-            model.converged_ = bool(fit["converged"])
-        if fit.get("backend") is not None:
-            model.backend_ = fit["backend"]
-        for key, attr in _ARRAY_ATTRS:
-            if key in npz.files:
-                setattr(model, attr, npz[key])
-        if name in _CENTERS_ALIASED and getattr(model, "_support_centers", None) is not None:
-            model.centers_ = model._support_centers
-        if "support_v_values" in npz.files:
-            from ..sparse import CSRMatrix
+        model = estimator_from_config(name, meta.get("params"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: unknown estimator config: {exc}") from exc
+    fit = meta.get("fit") or {}
+    if fit.get("n_iter") is not None:
+        model.n_iter_ = int(fit["n_iter"])
+    if fit.get("objective") is not None:
+        model.objective_ = float(fit["objective"])
+    if fit.get("converged") is not None:
+        model.converged_ = bool(fit["converged"])
+    if fit.get("backend") is not None:
+        model.backend_ = fit["backend"]
+    for key, attr in _ARRAY_ATTRS:
+        if key in arrays:
+            setattr(model, attr, arrays[key])
+    if name in _CENTERS_ALIASED and getattr(model, "_support_centers", None) is not None:
+        model.centers_ = model._support_centers
+    if "support_v_values" in arrays:
+        from ..sparse import CSRMatrix
 
-            shape = tuple(int(s) for s in npz["support_v_shape"])
-            model._support_v = CSRMatrix(
-                npz["support_v_values"],
-                npz["support_v_colinds"],
-                npz["support_v_rowptrs"],
-                shape,
-                check=False,
-            )
-        online_meta = meta.get("online")
-        if online_meta is not None and "online_counts" in npz.files:
-            from ..engine.minibatch import restore_online_state
+        shape = tuple(int(s) for s in arrays["support_v_shape"])
+        model._support_v = CSRMatrix(
+            arrays["support_v_values"],
+            arrays["support_v_colinds"],
+            arrays["support_v_rowptrs"],
+            shape,
+            check=False,
+        )
+    online_meta = meta.get("online")
+    if online_meta is not None and "online_counts" in arrays:
+        from ..engine.minibatch import restore_online_state
 
-            model.n_batches_seen_ = int(online_meta.get("n_batches_seen", 0))
-            restore_online_state(model, npz["online_counts"], online_meta)
-        if not hasattr(model, "labels_"):
-            raise ConfigError(f"{path}: artifact carries no labels array")
-        return model
-    finally:
-        npz.close()
+        model.n_batches_seen_ = int(online_meta.get("n_batches_seen", 0))
+        restore_online_state(model, arrays["online_counts"], online_meta)
+    if not hasattr(model, "labels_"):
+        raise ConfigError(f"{path}: artifact carries no labels array")
+    return model
 
 
 def inspect_model(path: str) -> dict:
     """Artifact metadata plus per-array shapes/dtypes (no estimator built)."""
-    meta, npz = _read_artifact(path)
-    try:
-        meta = dict(meta)
-        meta["array_info"] = {
-            key: {"shape": list(npz[key].shape), "dtype": str(npz[key].dtype)}
-            for key in npz.files
-            if key != "__meta__"
-        }
-        meta["file_bytes"] = os.path.getsize(path)
-        return meta
-    finally:
-        npz.close()
+    meta, arrays = _read_artifact(path)
+    meta = dict(meta)
+    meta["array_info"] = {
+        key: {"shape": list(arr.shape), "dtype": str(arr.dtype)}
+        for key, arr in arrays.items()
+    }
+    meta["file_bytes"] = os.path.getsize(path)
+    return meta

@@ -80,9 +80,8 @@ class PredictionService:
         Back-compat keyword surface: the same names ``ServeConfig``
         declares (``batch_size=``, ``max_delay_ms=``, ``n_workers=``,
         ``queue_bound=``, ``cache_size=``, ``latency_window=``,
-        ``chunk_rows=`` — with ``tile_rows=`` as its deprecated alias —
-        ``chunk_cols=``, ``n_threads=``, ``devices=``), validated
-        through the identical :class:`~repro.params.ParamSpec` bounds.
+        ``chunk_rows=``, ``chunk_cols=``, ``n_threads=``, ``devices=``),
+        validated through the identical :class:`~repro.params.ParamSpec` bounds.
         Mixing ``config=`` with keywords is a
         :class:`~repro.errors.ConfigError`.
 

@@ -30,7 +30,7 @@ from .ops import (
     transpose,
 )
 from .spgemm import spgemm, spgemm_flops
-from .spmm import spmm, spmm_transpose_dense
+from .spmm import spmm
 from .spmv import spmv
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "row_scale",
     "prune_explicit_zeros",
     "spmm",
-    "spmm_transpose_dense",
     "spmv",
     "spgemm",
     "spgemm_flops",

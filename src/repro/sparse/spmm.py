@@ -24,7 +24,7 @@ from .._typing import as_float_dtype
 from ..errors import ShapeError
 from .csr import CSRMatrix
 
-__all__ = ["spmm", "spmm_transpose_dense"]
+__all__ = ["spmm"]
 
 #: column block size for the contribution buffer (elements of B per pass)
 _BLOCK_COLS = 128
@@ -102,16 +102,3 @@ def spmm(
         contrib = vals[:, None] * bmat[colinds, lo:hi]
         out[:, lo:hi] = _segment_row_sum(contrib, a.rowptrs, m)
     return out
-
-
-def spmm_transpose_dense(a: CSRMatrix, b: np.ndarray, *, alpha: float = 1.0) -> np.ndarray:
-    """Compute ``alpha * (a @ b)^T`` without an extra transpose copy.
-
-    Popcorn needs ``E = -2 K V^T`` (``n x k``) but our SpMM computes the
-    sparse-times-dense orientation ``V @ K`` (``k x n``).  Because ``K`` is
-    symmetric, ``E = (V @ K)^T`` — this helper returns that transpose as a
-    C-contiguous array, matching what cuSPARSE produces when asked for the
-    transposed operation.
-    """
-    prod = spmm(a, b, alpha=alpha)
-    return np.ascontiguousarray(prod.T)

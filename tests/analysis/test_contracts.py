@@ -74,11 +74,11 @@ class _RequiredWithDefault(ParamsProtocol):
 class _Conformant(ParamsProtocol):
     _params = (
         ParamSpec("gamma", default=1.0),
-        ParamSpec("chunk_rows", default=None, aliases=("tile_rows",)),
+        ParamSpec("chunk_rows", default=None),
     )
 
-    def __init__(self, gamma=1.0, chunk_rows=None, tile_rows=None):
-        self._init_params(gamma=gamma, chunk_rows=chunk_rows, tile_rows=tile_rows)
+    def __init__(self, gamma=1.0, chunk_rows=None):
+        self._init_params(gamma=gamma, chunk_rows=chunk_rows)
 
 
 class TestRPR104BrokenClasses:

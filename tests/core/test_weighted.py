@@ -9,7 +9,6 @@ from repro.baselines import random_labels
 from repro.core import (
     WeightedPopcornKernelKMeans,
     popcorn_distances_host,
-    weighted_distances_host,
     weighted_selection_matrix,
 )
 from repro.errors import ConfigError, ShapeError
@@ -69,7 +68,7 @@ class TestWeightedDistances:
         x = rng.standard_normal((35, 4))
         km = kernel_matrix(x, PolynomialKernel())
         labels = random_labels(35, 3, rng)
-        dw = weighted_distances_host(km, labels, 3, np.ones(35))
+        dw, _ = popcorn_distances_host(km, labels, 3, weights=np.ones(35))
         du, _ = popcorn_distances_host(km, labels, 3)
         assert np.allclose(dw, du, atol=1e-8)
 
@@ -85,7 +84,7 @@ class TestWeightedDistances:
         np.add.at(centroids, labels, w[:, None] * x)
         centroids /= np.maximum(s, 1e-30)[:, None]
         brute = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        got = weighted_distances_host(km, labels, k, w)
+        got, _ = popcorn_distances_host(km, labels, k, weights=w)
         assert np.allclose(got, brute, atol=1e-8)
 
     def test_duplicating_a_point_equals_doubling_its_weight(self, rng):
@@ -97,7 +96,7 @@ class TestWeightedDistances:
         w = np.ones(n)
         w[0] = 2.0
         km = x @ x.T
-        dw = weighted_distances_host(km, labels, k, w)
+        dw, _ = popcorn_distances_host(km, labels, k, weights=w)
         # duplicated version
         x2 = np.concatenate([x, x[:1]])
         labels2 = np.concatenate([labels, labels[:1]]).astype(np.int32)
@@ -165,7 +164,7 @@ class TestWeightedEstimator:
         vw = weighted_selection_matrix(labels, k, w)
         dense_vw = vw.to_dense()
         want = np.diagonal(dense_vw @ km @ dense_vw.T)
-        # the SpMV route used inside weighted_distances_host
+        # the SpMV route popcorn_distances_host takes with weights
         from repro.sparse import spmm, spmv
 
         kvt = np.ascontiguousarray(spmm(vw, km).T)

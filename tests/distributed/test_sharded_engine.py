@@ -106,14 +106,14 @@ class TestFamilyBitExactness:
 
 class TestEngineIntegration:
     def test_tiled_sharded_still_bit_exact(self):
-        """tile_rows composes with sharding (both are row decompositions)."""
+        """chunk_rows composes with sharding (both are row decompositions)."""
         x = _points(60)
         init = random_labels(60, 4, np.random.default_rng(0))
         host = PopcornKernelKMeans(4, backend="host", dtype=np.float64, max_iter=6).fit(
             x, init_labels=init
         )
         sharded = PopcornKernelKMeans(
-            4, backend="sharded:3", tile_rows=7, dtype=np.float64, max_iter=6
+            4, backend="sharded:3", chunk_rows=7, dtype=np.float64, max_iter=6
         ).fit(x, init_labels=init)
         assert np.array_equal(host.labels_, sharded.labels_)
 

@@ -119,20 +119,18 @@ class TestCrossBackendEquivalence:
 
     def test_popcorn_tiled_host_matches_tiled_device(self, blobs):
         x, _, k = blobs
-        dev = PopcornKernelKMeans(k, seed=2, tile_rows=17, backend="device").fit(x)
-        host = PopcornKernelKMeans(k, seed=2, tile_rows=17, backend="host").fit(x)
+        dev = PopcornKernelKMeans(k, seed=2, chunk_rows=17, backend="device").fit(x)
+        host = PopcornKernelKMeans(k, seed=2, chunk_rows=17, backend="host").fit(x)
         assert np.array_equal(dev.labels_, host.labels_)
 
     def test_tiled_gram_policy_identical_across_backends(self, blobs):
         """Tiled mode forces GEMM and rejects syrk on every backend."""
         x, _, k = blobs
         for backend in ("host", "device"):
-            m = PopcornKernelKMeans(k, seed=0, tile_rows=16, backend=backend).fit(x)
+            m = PopcornKernelKMeans(k, seed=0, chunk_rows=16, backend=backend).fit(x)
             assert m.gram_method_ == "gemm", backend
             with pytest.raises(ConfigError, match="syrk"):
-                PopcornKernelKMeans(
-                    k, gram_method="syrk", tile_rows=16, backend=backend
-                ).fit(x)
+                PopcornKernelKMeans(k, gram_method="syrk", chunk_rows=16, backend=backend).fit(x)
 
     def test_baseline_labels_identical(self, blobs):
         x, _, k = blobs
@@ -179,7 +177,7 @@ class TestOverCapacityTiling:
         x = rng.standard_normal((n, 4)).astype(np.float32)  # K = 360 KB > 100 KB
         with pytest.raises(AllocationError, match="GB"):
             PopcornKernelKMeans(k, device=TINY, seed=0).fit(x)
-        tiled = PopcornKernelKMeans(k, device=TINY, seed=0, tile_rows=16).fit(x)
+        tiled = PopcornKernelKMeans(k, device=TINY, seed=0, chunk_rows=16).fit(x)
         assert tiled.labels_.shape == (n,)
         # identical result to an unconstrained run
         big = PopcornKernelKMeans(k, seed=0).fit(x)
@@ -193,7 +191,7 @@ class TestOverCapacityTiling:
         init = random_labels(n, k, rng)
         with pytest.raises(AllocationError):
             PopcornKernelKMeans(k, device=TINY).fit(kernel_matrix=km, init_labels=init)
-        tiled = PopcornKernelKMeans(k, device=TINY, tile_rows=24).fit(
+        tiled = PopcornKernelKMeans(k, device=TINY, chunk_rows=24).fit(
             kernel_matrix=km, init_labels=init
         )
         host = PopcornKernelKMeans(k, backend="host").fit(
@@ -204,13 +202,13 @@ class TestOverCapacityTiling:
     def test_oversized_tile_still_raises_with_guidance(self):
         n = 300
         x = np.random.default_rng(1).standard_normal((n, 4)).astype(np.float32)
-        with pytest.raises(AllocationError, match="tile_rows"):
-            PopcornKernelKMeans(3, device=TINY, tile_rows=200).fit(x)
+        with pytest.raises(AllocationError, match="chunk_rows"):
+            PopcornKernelKMeans(3, device=TINY, chunk_rows=200).fit(x)
 
     def test_allocator_clean_after_tiled_fit(self):
         dev = Device(TINY)
         x = np.random.default_rng(2).standard_normal((250, 4)).astype(np.float32)
-        PopcornKernelKMeans(3, device=dev, seed=0, tile_rows=16, max_iter=4).fit(x)
+        PopcornKernelKMeans(3, device=dev, seed=0, chunk_rows=16, max_iter=4).fit(x)
         assert dev.allocated_bytes == 0
 
 

@@ -1,6 +1,5 @@
 """Online mini-batch ``partial_fit``: cold-start bit-exactness, streaming
-updates, early stop, warm starts, the two input modes, and the
-``tile_rows`` -> ``chunk_rows`` alias migration."""
+updates, early stop, warm starts, and the two input modes."""
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from repro import (
 )
 from repro.data import make_blobs
 from repro.engine import EWA_ALPHA, OnlineState, partial_fit_step
-from repro.engine.reduction import resolve_rows_alias
 from repro.errors import ConfigError, ShapeError
 from repro.estimators import estimator_capabilities, estimator_config
 from repro.kernels import kernel_matrix
@@ -396,56 +394,3 @@ class TestCapabilities:
             est.partial_fit(np.zeros((4, 2)))
         # the message names the estimators that do support it
         assert "popcorn" in str(exc.value)
-
-
-# ----------------------------------------------------------------------
-# the tile_rows -> chunk_rows migration
-# ----------------------------------------------------------------------
-
-
-class TestTileRowsAlias:
-    def test_ctor_alias_warns_and_remaps(self):
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            est = PopcornKernelKMeans(2, tile_rows=16)
-        assert est.chunk_rows == 16
-        assert est.get_params()["chunk_rows"] == 16
-        assert "tile_rows" not in est.get_params()
-
-    def test_alias_at_default_is_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = PopcornKernelKMeans(2, tile_rows=None)
-        assert est.chunk_rows is None
-
-    def test_conflicting_spellings_rejected(self):
-        with pytest.raises(ConfigError, match="deprecated alias"):
-            PopcornKernelKMeans(2, chunk_rows=8, tile_rows=16)
-
-    def test_matching_spellings_tolerated(self):
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            est = PopcornKernelKMeans(2, chunk_rows=8, tile_rows=8)
-        assert est.chunk_rows == 8
-
-    def test_set_params_alias(self):
-        est = PopcornKernelKMeans(2)
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            est.set_params(tile_rows=12)
-        assert est.chunk_rows == 12
-
-    def test_predict_kwarg_alias(self):
-        x = _data(n=30)
-        est = PopcornKernelKMeans(3, backend="host", dtype=np.float64, seed=0)
-        est.partial_fit(x)
-        want = est.predict(x)
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            got = est.predict(x, tile_rows=7)
-        assert np.array_equal(got, want)
-
-    def test_resolve_rows_alias_conflict(self):
-        with pytest.raises(ConfigError, match="chunk_rows"):
-            resolve_rows_alias(8, 16, owner="test")
-        assert resolve_rows_alias(8, None, owner="test") == 8
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            assert resolve_rows_alias(None, 16, owner="test") == 16

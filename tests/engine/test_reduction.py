@@ -27,7 +27,6 @@ from repro.engine.reduction import (
     validate_chunk_size,
     validate_n_threads,
 )
-from repro.engine.tiling import tiled_popcorn_distances_host
 from repro.errors import ConfigError, ShapeError
 from repro.estimators import available_estimators, filter_params, make_estimator
 from repro.sparse import selection_matrix
@@ -144,7 +143,7 @@ class TestFusedBitExact:
         n, k = 37, 5
         km = _kernel_matrix(n, rng, dtype)
         lab = random_labels(n, k, rng)
-        d_legacy, _ = tiled_popcorn_distances_host(km, lab, k, tile_rows=11)
+        d_legacy, _ = popcorn_distances_host(km, lab, k)
         want = argmin_assign(d_legacy)
         fused = fused_popcorn_argmin(
             km, lab, k, chunk_rows=chunk_rows, chunk_cols=chunk_cols, n_threads=n_threads
@@ -159,7 +158,7 @@ class TestFusedBitExact:
         km = _kernel_matrix(n, rng)
         lab = random_labels(n, k, rng)
         w = rng.uniform(0.5, 2.0, size=n)
-        d_legacy, _ = tiled_popcorn_distances_host(km, lab, k, tile_rows=8, weights=w)
+        d_legacy, _ = popcorn_distances_host(km, lab, k, weights=w)
         want = argmin_assign(d_legacy)
         fused = fused_popcorn_argmin(
             km, lab, k,
@@ -189,7 +188,7 @@ class TestFusedBitExact:
         km = _kernel_matrix(n, rng, dtype)
         lab = random_labels(n, k, rng)
         w = rng.uniform(0.5, 2.0, size=n) if weighted else None
-        d_legacy, _ = tiled_popcorn_distances_host(km, lab, k, tile_rows=13, weights=w)
+        d_legacy, _ = popcorn_distances_host(km, lab, k, weights=w)
         want = argmin_assign(d_legacy)
         fused = fused_popcorn_argmin(
             km, lab, k,
@@ -223,7 +222,7 @@ class TestFusedBitExact:
         km = _kernel_matrix(n, rng)
         lab = np.zeros(n, dtype=np.int32)
         lab[7:] = 1  # clusters 2, 3 empty
-        d_legacy, _ = tiled_popcorn_distances_host(km, lab, k, tile_rows=4)
+        d_legacy, _ = popcorn_distances_host(km, lab, k)
         fused = fused_popcorn_argmin(km, lab, k, chunk_rows=4, chunk_cols=1)
         np.testing.assert_array_equal(fused.labels, argmin_assign(d_legacy))
 
@@ -247,7 +246,7 @@ CHUNK_KW = {"chunk_rows": 11, "chunk_cols": 2, "n_threads": 2}
 
 class TestEstimatorsBitIdentical:
     """All registered estimators keep bit-identical labels through the
-    fused reduction engine — host, tiled-alias, and sharded backends."""
+    fused reduction engine — host (two chunk shapes) and sharded backends."""
 
     @pytest.mark.parametrize("name", available_estimators())
     def test_host_chunked_and_tiled_alias(self, name):
@@ -255,7 +254,7 @@ class TestEstimatorsBitIdentical:
         base = make_estimator(name, n_clusters=2, seed=0).fit(x)
         for variant in (
             {"backend": "host", **CHUNK_KW},
-            {"backend": "host", "tile_rows": 13},  # the compatibility alias
+            {"backend": "host", "chunk_rows": 13},  # row chunks only
         ):
             kw = filter_params(name, variant)
             est = make_estimator(name, n_clusters=2, seed=0, **kw).fit(x)
@@ -289,7 +288,7 @@ class TestPredictChunked:
         for kw in (
             {"chunk_rows": 5, "chunk_cols": 2, "n_threads": 2},
             {"chunk_rows": 1, "chunk_cols": 1},
-            {"tile_rows": 6},
+            {"chunk_rows": 6},
         ):
             np.testing.assert_array_equal(est.predict(q, **kw), want)
 

@@ -1,4 +1,11 @@
-"""Tests for the row-tiled distance pipeline (repro.engine.tiling)."""
+"""Tests for the device backend's streaming mode (``chunk_rows=``).
+
+With ``chunk_rows`` set, the device backend keeps K in host memory and
+streams it in ``chunk_rows x n`` panels (the schedule of
+:func:`repro.engine.reduction.chunk_ranges`): distances, labels and
+objectives are bit-for-bit those of the monolithic run, and the launch
+log matches :func:`repro.modeling.model_popcorn_tiled` launch for launch.
+"""
 
 import numpy as np
 import pytest
@@ -8,50 +15,78 @@ from hypothesis import strategies as st
 from repro.baselines import random_labels
 from repro.core import PopcornKernelKMeans
 from repro.core.distances import popcorn_distances_host
-from repro.core.weighted import weighted_distances_host
-from repro.engine import row_tiles, tiled_popcorn_distances_host, validate_tile_rows
+from repro.engine import get_backend
+from repro.engine.reduction import chunk_ranges
 from repro.errors import ConfigError, ShapeError
+from repro.gpu import A100_80GB, Device
 from repro.kernels import PolynomialKernel, kernel_matrix
 
 
+def _panel_rows(n, chunk_rows, k=2):
+    """Row heights of the K panels one device iteration streams."""
+    x = np.random.default_rng(n).standard_normal((n, 3)).astype(np.float32)
+    est = PopcornKernelKMeans(k, max_iter=1, check_convergence=False, chunk_rows=chunk_rows).fit(x)
+    launches = est.device_.profiler.launches
+    return [l.meta["rows"] for l in launches if l.name == "cusparse.spmm_tile"]
+
+
+def _device_distances(km, labels, k, chunk_rows, weights=None):
+    """One device-backend distance step; returns the host copy of D."""
+    backend = get_backend("device")
+    state = backend.begin(
+        n_clusters=k, dtype=km.dtype, chunk_rows=chunk_rows, device=Device(A100_80GB)
+    )
+    backend.load_kernel_matrix(state, km)
+    step = backend.popcorn_step(state, labels, weights=weights)
+    d = step.d.copy()
+    step.free()
+    backend.finish(state)
+    return d
+
+
 class TestRowTiles:
+    """The panel schedule the device backend streams K in."""
+
     def test_none_is_monolithic(self):
-        assert row_tiles(17, None) == [(0, 17)]
+        assert _panel_rows(17, None) == []
 
     def test_tile_larger_than_n_is_monolithic(self):
-        assert row_tiles(10, 64) == [(0, 10)]
+        assert _panel_rows(10, 64) == [10]
 
     def test_exact_divisor(self):
-        assert row_tiles(12, 4) == [(0, 4), (4, 8), (8, 12)]
+        assert _panel_rows(12, 4) == [4, 4, 4]
 
     def test_non_divisor_short_last_tile(self):
-        assert row_tiles(10, 4) == [(0, 4), (4, 8), (8, 10)]
+        assert _panel_rows(10, 4) == [4, 4, 2]
 
     def test_tile_of_one(self):
-        tiles = row_tiles(5, 1)
-        assert tiles == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert _panel_rows(5, 1) == [1, 1, 1, 1, 1]
 
     def test_tiles_cover_range_exactly(self):
-        for n in (1, 7, 31):
+        for n in (3, 7, 31):
             for r in (1, 2, 5, 30, 31, 100):
-                tiles = row_tiles(n, r)
-                assert tiles[0][0] == 0 and tiles[-1][1] == n
-                for (a, b), (c, _) in zip(tiles, tiles[1:]):
-                    assert b == c
-
-    def test_invalid_tile_rows(self):
-        with pytest.raises(ConfigError):
-            validate_tile_rows(0)
-        with pytest.raises(ConfigError):
-            row_tiles(10, -3)
+                rows = _panel_rows(n, r)
+                assert sum(rows) == n
+                assert all(h == min(r, n) for h in rows[:-1])
 
     def test_invalid_n(self):
+        assert chunk_ranges(0, 4) == []
         with pytest.raises(ShapeError):
-            row_tiles(0, 4)
+            chunk_ranges(-1, 4)
+
+    def test_invalid_chunk_rows(self):
+        for bad in (0, -3):
+            with pytest.raises(ConfigError, match="chunk_rows"):
+                get_backend("device").begin(
+                    n_clusters=2,
+                    dtype=np.float32,
+                    chunk_rows=bad,
+                    device=Device(A100_80GB),
+                )
 
 
 class TestTiledDistancesBitExact:
-    """The tentpole property: tiling never changes a single bit."""
+    """The tentpole property: streaming never changes a single bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -66,8 +101,8 @@ class TestTiledDistancesBitExact:
         x = rng.standard_normal((n, 3))
         km = kernel_matrix(x, PolynomialKernel())  # float64, PSD, symmetric
         labels = random_labels(n, k, rng)
-        mono, _ = popcorn_distances_host(km, labels, k)
-        tiled, _ = tiled_popcorn_distances_host(km, labels, k, tile_rows=tile)
+        mono = _device_distances(km, labels, k, None)
+        tiled = _device_distances(km, labels, k, tile)
         assert np.array_equal(mono, tiled)  # bit-for-bit, not allclose
 
     @settings(max_examples=30, deadline=None)
@@ -82,7 +117,7 @@ class TestTiledDistancesBitExact:
         km = (x @ x.T).astype(np.float32)
         labels = random_labels(n, k, rng)
         mono, _ = popcorn_distances_host(km, labels, k)
-        tiled, _ = tiled_popcorn_distances_host(km, labels, k, tile_rows=tile)
+        tiled = _device_distances(km, labels, k, tile)
         assert np.array_equal(mono, tiled)
 
     @settings(max_examples=30, deadline=None)
@@ -97,29 +132,27 @@ class TestTiledDistancesBitExact:
         km = kernel_matrix(x, PolynomialKernel())
         labels = random_labels(n, k, rng)
         w = rng.uniform(0.1, 3.0, n)
-        mono = weighted_distances_host(km, labels, k, w)
-        tiled, _ = tiled_popcorn_distances_host(
-            km, labels, k, tile_rows=tile, weights=w
-        )
+        mono, _ = popcorn_distances_host(km, labels, k, weights=w)
+        tiled = _device_distances(km, labels, k, tile, weights=w)
         assert np.array_equal(mono, tiled)
 
     def test_nonsquare_rejected(self, rng):
         with pytest.raises(ShapeError):
-            tiled_popcorn_distances_host(
-                rng.standard_normal((4, 5)), np.zeros(4, dtype=np.int32), 2, tile_rows=2
-            )
+            popcorn_distances_host(rng.standard_normal((4, 5)), np.zeros(4, dtype=np.int32), 2)
 
 
 class TestTiledEstimator:
-    """PopcornKernelKMeans(tile_rows=r) is label-identical to monolithic."""
+    """PopcornKernelKMeans(chunk_rows=r) on the device backend is
+    label-identical to monolithic."""
 
     @pytest.mark.parametrize("tile", [1, 7, 32, 90, 1000])
     def test_labels_identical_for_any_tile(self, blobs, tile):
         x, _, k = blobs  # n = 90; 7 and 1000 exercise non-divisor / oversize
         mono = PopcornKernelKMeans(k, seed=0, max_iter=8).fit(x)
-        tiled = PopcornKernelKMeans(k, seed=0, max_iter=8, tile_rows=tile).fit(x)
+        tiled = PopcornKernelKMeans(k, seed=0, max_iter=8, chunk_rows=tile).fit(x)
+        assert tiled.backend_ == "device"
         assert np.array_equal(mono.labels_, tiled.labels_)
-        assert tiled.objective_ == pytest.approx(mono.objective_)
+        assert tiled.objective_ == mono.objective_
 
     def test_tiled_precomputed_kernel(self, rng):
         n, k = 40, 3
@@ -129,7 +162,7 @@ class TestTiledEstimator:
         mono = PopcornKernelKMeans(k, dtype=np.float64).fit(
             kernel_matrix=km, init_labels=init
         )
-        tiled = PopcornKernelKMeans(k, dtype=np.float64, tile_rows=13).fit(
+        tiled = PopcornKernelKMeans(k, dtype=np.float64, chunk_rows=13).fit(
             kernel_matrix=km, init_labels=init
         )
         assert np.array_equal(mono.labels_, tiled.labels_)
@@ -138,7 +171,7 @@ class TestTiledEstimator:
         x, _, k = circles
         mono = PopcornKernelKMeans(k, kernel="gaussian", seed=1, max_iter=10).fit(x)
         tiled = PopcornKernelKMeans(
-            k, kernel="gaussian", seed=1, max_iter=10, tile_rows=50
+            k, kernel="gaussian", seed=1, max_iter=10, chunk_rows=50
         ).fit(x)
         assert np.array_equal(mono.labels_, tiled.labels_)
 
@@ -146,7 +179,7 @@ class TestTiledEstimator:
         x, _, k = blobs
         mono = PopcornKernelKMeans(k, seed=0, max_iter=4, check_convergence=False).fit(x)
         tiled = PopcornKernelKMeans(
-            k, seed=0, max_iter=4, check_convergence=False, tile_rows=30
+            k, seed=0, max_iter=4, check_convergence=False, chunk_rows=30
         ).fit(x)
         # per-iteration H2D re-streaming of K must show up in the model
         assert tiled.timings_["transfer"] > mono.timings_["transfer"]
@@ -154,33 +187,30 @@ class TestTiledEstimator:
 
     def test_tiled_never_allocates_k_on_device(self, blobs):
         x, _, k = blobs  # n=90, fp32: K would be 32.4 KB
-        tiled = PopcornKernelKMeans(k, seed=0, max_iter=3, tile_rows=10).fit(x)
+        tiled = PopcornKernelKMeans(k, seed=0, max_iter=3, chunk_rows=10).fit(x)
         peak = tiled.device_.peak_allocated_bytes
         assert peak < 4 * 90 * 90  # strictly below a resident K
 
     def test_syrk_with_tiling_rejected(self, blobs):
         x, _, k = blobs
         with pytest.raises(ConfigError, match="syrk"):
-            PopcornKernelKMeans(k, gram_method="syrk", tile_rows=16).fit(x)
+            PopcornKernelKMeans(k, gram_method="syrk", chunk_rows=16).fit(x)
 
-    def test_bad_tile_rows_rejected(self):
-        # the deprecated alias remaps before validation, so the error
-        # names the canonical knob
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            with pytest.raises(ConfigError, match="chunk_rows"):
-                PopcornKernelKMeans(2, tile_rows=0)
+    def test_bad_chunk_rows_rejected(self):
+        with pytest.raises(ConfigError, match="chunk_rows"):
+            PopcornKernelKMeans(2, chunk_rows=0)
 
     def test_model_matches_execution_launch_for_launch(self, rng):
-        """The tiled analytical model mirrors the tiled engine exactly."""
+        """The tiled analytical model mirrors the streamed engine exactly."""
         from repro.modeling import model_popcorn_tiled
 
         n, d, k, iters, tile = 48, 6, 3, 4, 13
         x = rng.standard_normal((n, d)).astype(np.float32)
         init = random_labels(n, k, rng)
         est = PopcornKernelKMeans(
-            k, max_iter=iters, check_convergence=False, tile_rows=tile
+            k, max_iter=iters, check_convergence=False, chunk_rows=tile
         ).fit(x, init_labels=init)
-        modeled = model_popcorn_tiled(n, d, k, tile_rows=tile, iters=iters)
+        modeled = model_popcorn_tiled(n, d, k, chunk_rows=tile, iters=iters)
         skip = ("cuda.memcpy_h2d", "cuda.memcpy_d2h")
         got = [l for l in est.device_.profiler.launches if l.name not in skip]
         want = [l for l in modeled.profiler.launches if l.name not in skip]

@@ -143,9 +143,7 @@ class TestRoundTripBitExact:
         ).fit(x)
         path = str(tmp_path_factory.mktemp("rt") / "m.npz")
         loaded = load_model(save_model(est, path))
-        assert np.array_equal(
-            loaded.predict(q, tile_rows=tile), est.predict(q, tile_rows=tile)
-        )
+        assert np.array_equal(loaded.predict(q, chunk_rows=tile), est.predict(q, chunk_rows=tile))
 
 
 class TestSchemaChecking:
@@ -173,6 +171,26 @@ class TestSchemaChecking:
             fh.write(b"\x00\x01garbage" * 32)
         with pytest.raises(ConfigError, match="not a readable"):
             load_model(path)
+
+    @pytest.mark.parametrize("frac", [0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97])
+    def test_flipped_byte_fails_cleanly_or_changes_nothing(self, tmp_path, frac):
+        """A damaged artifact raises ConfigError or still predicts bit-exactly."""
+        x, q, k = _data()
+        est = PopcornKernelKMeans(k, backend="host", dtype=np.float64, seed=0).fit(x)
+        path = save_model(est, str(tmp_path / "m.npz"))
+        with open(path, "rb") as fh:
+            raw = bytearray(fh.read())
+        raw[int(len(raw) * frac)] ^= 0xFF
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        for read in (load_model, inspect_model):
+            try:
+                out = read(path)
+            except ConfigError as exc:
+                assert path in str(exc)
+                continue
+            if read is load_model:
+                assert np.array_equal(out.predict(q), est.predict(q))
 
     def test_npz_without_header_rejected(self, tmp_path):
         path = str(tmp_path / "plain.npz")

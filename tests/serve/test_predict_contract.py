@@ -20,6 +20,7 @@ from repro.core import OnTheFlyKernelKMeans
 from repro.data import make_blobs
 from repro.engine.base import OutOfSamplePredictor
 from repro.errors import ConfigError, ShapeError
+from repro.estimators import estimator_name, make_estimator
 from repro.kernels import PolynomialKernel
 
 ALL_PREDICTORS = (
@@ -77,7 +78,7 @@ class TestUnifiedContract:
         assert np.all((0 <= labels) & (labels < k))
         # batching and query-tiling cannot change a single label
         assert np.array_equal(est.predict_batch([q[:7], q[7:]]), labels)
-        assert np.array_equal(est.predict(q, tile_rows=4), labels)
+        assert np.array_equal(est.predict(q, chunk_rows=4), labels)
 
     def test_unfitted_raises(self):
         with pytest.raises(ConfigError, match="not fitted"):
@@ -123,6 +124,16 @@ class TestUnifiedContract:
         est = PopcornKernelKMeans(k, kernel=kern, dtype=np.float64, seed=0).fit(x)
         with pytest.raises(ShapeError, match="columns"):
             est.predict(cross_kernel=np.zeros((2, x.shape[0] + 1)))
+
+    @pytest.mark.parametrize("cls", ALL_PREDICTORS, ids=lambda c: c.__name__)
+    def test_wrong_feature_width_raises_shape_error(self, cls, blobs64):
+        x, _, k = blobs64
+        est = make_estimator(estimator_name(cls), n_clusters=k, seed=0).fit(x)
+        # spectral predicts through cross_kernel only, which is its own
+        # ShapeError; every other estimator names the mismatch
+        match = "cross_kernel" if cls is SpectralKernelKMeans else "mismatch: 7 vs 5"
+        with pytest.raises(ShapeError, match=match):
+            est.predict(np.zeros((3, 7)))
 
 
 class TestSelfConsistency:
@@ -200,4 +211,4 @@ class TestTilingProperty:
         est = PopcornKernelKMeans(
             4, dtype=np.float64, backend="host", max_iter=4, seed=seed
         ).fit(x)
-        assert np.array_equal(est.predict(q, tile_rows=tile), est.predict(q))
+        assert np.array_equal(est.predict(q, chunk_rows=tile), est.predict(q))

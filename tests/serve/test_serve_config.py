@@ -60,13 +60,6 @@ class TestServeConfig:
     def test_integral_float_accepted(self):
         assert ServeConfig(batch_size=8.0).batch_size == 8
 
-    def test_tile_rows_alias_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            cfg = ServeConfig(tile_rows=16)
-        assert cfg.chunk_rows == 16
-        with pytest.raises(ConfigError):
-            ServeConfig(tile_rows=16, chunk_rows=8)
-
     def test_max_delay_s_and_predict_kwargs(self):
         cfg = ServeConfig(max_delay_ms=5.0, chunk_rows=4, n_threads=2)
         assert cfg.max_delay_s == pytest.approx(0.005)

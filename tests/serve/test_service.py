@@ -58,10 +58,10 @@ class TestCorrectness:
         for got in results.values():
             assert np.array_equal(got, expected)
 
-    def test_tile_rows_forwarded(self, fitted):
+    def test_chunk_rows_forwarded(self, fitted):
         model, q = fitted
         expected = model.predict(q)
-        with PredictionService(model, batch_size=64, tile_rows=5) as svc:
+        with PredictionService(model, batch_size=64, chunk_rows=5) as svc:
             assert np.array_equal(svc.predict_many(q), expected)
 
     def test_lloyd_model_served(self):

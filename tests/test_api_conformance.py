@@ -102,9 +102,9 @@ _PARAMS_CLASSES = sorted(
     "cls", _PARAMS_CLASSES, ids=[c.__name__ for c in _PARAMS_CLASSES]
 )
 def test_paramspec_matches_init_surface(cls):
-    """Every __init__ kwarg is a declared ParamSpec (or declared alias),
-    defaults agree on both sides, every declared parameter is
-    constructible, and clone() round-trips get_params()."""
+    """Every __init__ kwarg is a declared ParamSpec, defaults agree on
+    both sides, every declared parameter is constructible, and clone()
+    round-trips get_params()."""
     from pathlib import Path
 
     from repro.analysis.contracts import check_params_class
