@@ -17,6 +17,7 @@ RPR106   ``_guarded_by`` lock discipline (mutations under the lock, no
          await/blocking calls while holding one)
 RPR107   span/metric names dotted-lowercase, one kind per name
 RPR108   bench probes deterministic (no wall clock, no unseeded RNG)
+RPR109   one CSR kernel: no ``np.add.reduceat`` segmented sums
 RPR999   file does not parse
 =======  ==============================================================
 

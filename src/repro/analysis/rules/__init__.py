@@ -1,7 +1,7 @@
 """The syntactic house rules (pure-AST, no package import needed)."""
 
 from .dense import DenseMaterialisationRule
-from .discipline import ErrorDisciplineRule, PickleBanRule
+from .discipline import ErrorDisciplineRule, PickleBanRule, SingleCSRKernelRule
 from .nondeterminism import NondeterminismRule
 from .obs_names import ObsNamingRule
 
@@ -11,6 +11,7 @@ __all__ = [
     "PickleBanRule",
     "ObsNamingRule",
     "NondeterminismRule",
+    "SingleCSRKernelRule",
     "syntactic_rules",
 ]
 
@@ -23,4 +24,5 @@ def syntactic_rules():
         PickleBanRule(),
         ObsNamingRule(),
         NondeterminismRule(),
+        SingleCSRKernelRule(),
     ]

@@ -1,4 +1,4 @@
-"""RPR102 (error discipline) and RPR103 (pickle ban).
+"""RPR102 (error discipline), RPR103 (pickle ban), RPR109 (one CSR kernel).
 
 RPR102: user-facing failures in ``src/repro`` raise from the
 :mod:`repro.errors` hierarchy, never bare ``ValueError`` /
@@ -15,6 +15,14 @@ is flagged, as is any ``np.load`` call that does not pin
 ``allow_pickle=False`` — numpy's default refuses pickles, but an
 explicit pin is what keeps a future convenience edit from quietly
 reopening arbitrary-code-execution on artifact load.
+
+RPR109: every sparse product runs on the one compiled, strictly
+sequential CSR kernel behind :func:`repro.sparse.spmm` /
+:func:`repro.sparse.spmv`, and the distance pipeline's bit-exactness
+across chunk shapes, threads and backends rests on every path summing
+in that order.  ``np.add.reduceat`` over CSR row segments is a second
+kernel with its own rounding order, so any use under ``src/repro`` is
+flagged.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Iterable, List
 from ..core import Finding, Rule, SourceModule
 from ._util import call_tail, dotted_name
 
-__all__ = ["ErrorDisciplineRule", "PickleBanRule"]
+__all__ = ["ErrorDisciplineRule", "PickleBanRule", "SingleCSRKernelRule"]
 
 _BARE_ERRORS = {"ValueError", "TypeError", "RuntimeError"}
 _ANALYSIS_PREFIX = "src/repro/analysis/"
@@ -141,3 +149,32 @@ class PickleBanRule(Rule):
                     isinstance(kw.value, ast.Constant) and kw.value.value is False
                 )
         return False
+
+
+class SingleCSRKernelRule(Rule):
+    rule_id = "RPR109"
+    title = "one CSR kernel: no np.add.reduceat segmented sums"
+    rationale = (
+        "SpMM/SpMV run on one compiled CSR kernel whose output entries are "
+        "strictly sequential sums in each row's nonzero order; the chunk, "
+        "thread and backend bit-exactness properties rest on that one "
+        "order.  np.add.reduceat under src/repro is a second CSR reduction "
+        "with a different rounding order: express the reduction as "
+        "repro.sparse.spmv / spmm (row sums are spmv against ones)."
+    )
+
+    _BANNED = {"np.add.reduceat", "numpy.add.reduceat"}
+
+    def check(self, module: SourceModule) -> Iterable[Finding]:
+        if module.tree is None or not module.path.startswith("src/repro/"):
+            return ()
+        return [
+            self.finding(
+                module,
+                node.lineno,
+                f"{dotted_name(node)} is a second CSR reduction; "
+                "use repro.sparse.spmv / spmm",
+            )
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Attribute) and dotted_name(node) in self._BANNED
+        ]

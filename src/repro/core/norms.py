@@ -14,7 +14,7 @@ import numpy as np
 
 from .._typing import check_labels
 from ..errors import ShapeError
-from ..sparse import CSRMatrix, spmm, spmv
+from ..sparse import CSRMatrix, row_sums, spmm, spmv
 
 __all__ = [
     "gather_z",
@@ -51,18 +51,13 @@ def centroid_norms_spgemm(k_mat: np.ndarray, v: CSRMatrix) -> np.ndarray:
     row of ``M`` with the matching row of ``V`` — the O(n k) work Popcorn's
     SpMV trick avoids.
     """
-    kk, n = v.shape
+    n = v.ncols
     if k_mat.shape != (n, n):
         raise ShapeError(f"K must be ({n}, {n}), got {k_mat.shape}")
     m = spmm(v, k_mat)  # (k, n) = V K
-    out = np.zeros(kk, dtype=m.dtype)
-    rows = v.row_indices()
-    contrib = v.values * m[rows, v.colinds]
-    sizes = np.diff(v.rowptrs)
-    nonempty = np.flatnonzero(sizes > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(contrib, v.rowptrs[:-1][nonempty])
-    return out
+    # ||c_j||^2 = sum_l V[j, l] M[j, l]: row sums over V's pattern
+    contrib = v.values * m[v.row_indices(), v.colinds]
+    return row_sums(CSRMatrix(contrib, v.colinds, v.rowptrs, v.shape, check=False))
 
 
 def centroid_norms_reference(k_mat: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

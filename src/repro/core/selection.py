@@ -11,7 +11,7 @@ import numpy as np
 
 from .._typing import check_labels
 from ..errors import SparseFormatError
-from ..sparse import CSRMatrix, cluster_counts, selection_matrix
+from ..sparse import CSRMatrix, cluster_counts, row_sums, selection_matrix
 
 __all__ = [
     "build_selection",
@@ -50,8 +50,7 @@ def verify_selection_invariants(v: CSRMatrix, labels: np.ndarray) -> None:
     if not np.array_equal(rows[np.argsort(v.colinds, kind="stable")], lab):
         raise SparseFormatError("V's sparsity pattern disagrees with the labels")
     # row sums: |L_j| * (1/|L_j|) = 1 for non-empty clusters
-    sums = np.zeros(k)
-    np.add.at(sums, rows, v.values.astype(np.float64))
+    sums = row_sums(v.astype(np.float64))
     expected = (counts > 0).astype(np.float64)
     if not np.allclose(sums, expected, atol=1e-5):
         raise SparseFormatError("V's non-empty rows must sum to 1")

@@ -46,6 +46,7 @@ from .params import ParamSpec, ParamsProtocol, check_is_fitted, optional
 from .reduction import (
     CrossKernelArgmin,
     WorkStealingPool,
+    _label_gather,
     chunk_ranges,
     validate_chunk_size,
     validate_n_threads,
@@ -165,24 +166,27 @@ class OutOfSamplePredictor(ParamsProtocol):
         ``kernel_host`` is the training kernel matrix (host view); the
         centroid norms are made consistent with the *final* labels — the
         loop's own norms correspond to the pre-update selection matrix.
+        They run through the fit's z-pass and SpMV in float64: each
+        per-cluster block ``K[L_j, L_j]`` is promoted as it is gathered,
+        so no float64 copy of K is ever made.
         """
-        from ..core.norms import centroid_norms_spgemm
-        from ..core.selection import build_selection
-        from ..sparse import weighted_selection_matrix
+        from ..sparse import factored_selection, spmv
 
         k = self.n_clusters
-        if weights is None:
-            v = build_selection(labels, k, dtype=np.float64)
-        else:
+        km = np.asarray(kernel_host)
+        if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
-            v = weighted_selection_matrix(labels, k, weights, dtype=np.float64)
-        self._c_norms = centroid_norms_spgemm(
-            np.asarray(kernel_host).astype(np.float64), v
-        )
+        b, sizes = factored_selection(labels, k, weights=weights, dtype=np.float64)
+        threads = getattr(self, "n_threads", None)
+        z = _label_gather(km, b, sizes, budget_elems=max(km.shape[0] * k, 1), n_threads=threads)
+        c_norms = spmv(b, z, alpha=-0.5)
+        c_norms /= sizes
+        self._c_norms = c_norms
         self._support_x = x
         self._support_weights = weights
         self._support_centers = None
-        self._support_v = v
+        self._support_v = None
+        self._support_selection(labels)
 
     def _finalize_centers_support(self, centers) -> None:
         """Stash an explicit-centers support set (Lloyd / embedding paths)."""
@@ -193,20 +197,20 @@ class OutOfSamplePredictor(ParamsProtocol):
         self._support_weights = None
         self._support_v = None
 
-    def _support_selection(self):
-        """The (possibly weighted) float64 selection matrix of the support."""
+    def _support_selection(self, labels=None):
+        """The (possibly weighted) float64 selection matrix of the support,
+        built from ``labels`` (default ``labels_``) on first use."""
         if self._support_v is None:
             from ..core.selection import build_selection
             from ..sparse import weighted_selection_matrix
 
-            if self._support_weights is None:
-                self._support_v = build_selection(
-                    self.labels_, self.n_clusters, dtype=np.float64
-                )
-            else:
-                self._support_v = weighted_selection_matrix(
-                    self.labels_, self.n_clusters, self._support_weights, dtype=np.float64
-                )
+            lab = self.labels_ if labels is None else labels
+            w = self._support_weights
+            self._support_v = (
+                build_selection(lab, self.n_clusters, dtype=np.float64)
+                if w is None
+                else weighted_selection_matrix(lab, self.n_clusters, w, dtype=np.float64)
+            )
         return self._support_v
 
     def _query_features(self, xm: np.ndarray) -> np.ndarray:

@@ -26,15 +26,22 @@ work-stealing pool (:class:`WorkStealingPool`) with no copies.
 
 Bit-exactness contract
 ----------------------
-Labels and min-distances are **bit-for-bit identical** to the legacy
-full-matrix pipeline for every chunk shape and thread count:
+Labels and min-distances are **bit-for-bit identical** to the
+full-matrix pipeline (:func:`repro.core.distances.popcorn_distances_host`)
+for every chunk shape and thread count:
 
-* the CSR SpMM computes every output entry with one sequential
-  ``np.add.reduceat`` over that row's nonzero segment, so slicing V's
-  rows (cluster chunks) and K's columns (sample chunks) leaves every
-  E entry unchanged — chunk boundaries never move a rounding;
+* the CSR SpMM (:func:`repro.sparse.spmm`) computes each output entry as
+  one strictly sequential sum in the row's nonzero order, which depends
+  on that row of the selection matrix and that column of K alone — so
+  slicing the selection matrix's rows (cluster chunks) and K's columns
+  (sample chunks) leaves every E entry unchanged, and chunk boundaries
+  never move a rounding;
+* the selection matrix runs in factored form ``V = diag(1/s) B``
+  (:func:`repro.sparse.factored_selection`): every E entry and centroid
+  norm is its SpMM/SpMV sum divided once by ``s_j``, elementwise, so
+  the division is as chunk-invariant as the sum;
 * panels add ``(E + P~) + C~`` in the exact association and dtype of the
-  legacy ``d += p; d += c`` sequence;
+  full-matrix ``d += p; d += c`` sequence;
 * the running reduction updates on strict ``<`` with column chunks
   visited in ascending order and ``np.argmin`` (first minimum) inside
   each panel, which reproduces ``np.argmin``'s lowest-index tie-breaking
@@ -57,13 +64,7 @@ import numpy as np
 from .._typing import INDEX_DTYPE, check_labels
 from ..errors import ConfigError, ShapeError
 from ..obs import metrics, trace
-from ..sparse import (
-    CSRMatrix,
-    selection_matrix,
-    spmm,
-    spmv,
-    weighted_selection_matrix,
-)
+from ..sparse import CSRMatrix, factored_selection, spmm, spmv
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -376,25 +377,27 @@ def _one_row_csr(values: np.ndarray) -> CSRMatrix:
 def _label_gather(
     km: np.ndarray,
     v: CSRMatrix,
-    lab: np.ndarray,
+    sizes: np.ndarray,
     *,
     budget_elems: int,
     n_threads: Optional[int],
 ) -> np.ndarray:
     """``z_i = E[i, lab_i]`` for ``E = -2 K V^T`` without building E.
 
-    Only the label-column entry of each E row feeds the SpMV
-    centroid-norm trick, and point ``i``'s label column is the cluster
-    it belongs to — so per cluster ``j`` the needed entries are one SpMM
-    row against the gathered ``|L_j| x |L_j|`` block ``K[L_j, L_j]``
-    (total work ~ sum |L_j|^2 ~ n^2/k for balanced clusters, vs the
-    full SpMM's n^2 k^0 ... n*k columns).  The arithmetic goes through
-    :func:`repro.sparse.spmm` itself, so every entry is bitwise the one
-    the full product would hold; the gathered block is further split so
-    at most ``budget_elems`` elements are resident (the same panel
-    budget the argmin reduction honours).  Clusters are independent
-    tasks for the thread pool (they partition the points, so writes are
-    disjoint).
+    ``V = diag(1/sizes) v`` is the factored selection matrix.  Only the
+    label-column entry of each E row feeds the SpMV centroid-norm trick,
+    and point ``i``'s label column is the cluster it belongs to — so per
+    cluster ``j`` the needed entries are one SpMM row against the
+    gathered ``|L_j| x |L_j|`` block ``K[L_j, L_j]`` (total work
+    ~ n^2/k for balanced clusters, against n^2 k for the full SpMM).
+    Each entry is a sequential sum over row ``j``'s nonzeros in stored
+    order divided by ``sizes[j]``, exactly as in the full product, so it
+    is bitwise the entry the full E would hold.  The gathered block is
+    split column-wise so at most ``budget_elems`` elements are resident
+    (the panel budget the argmin reduction honours); it is gathered in
+    K's dtype and promoted to ``v.dtype`` by the SpMM.  Clusters are
+    independent tasks for the thread pool (they partition the points,
+    so writes are disjoint).
     """
     n = km.shape[0]
     z = np.zeros(n, dtype=v.dtype)
@@ -404,7 +407,7 @@ def _label_gather(
         if lo == hi:
             continue
 
-        def gather(lo=lo, hi=hi):
+        def gather(j=j, lo=lo, hi=hi):
             members = v.colinds[lo:hi]
             row = _one_row_csr(v.values[lo:hi])
             nj = hi - lo
@@ -412,7 +415,7 @@ def _label_gather(
             for b0 in range(0, nj, block):
                 cols = members[b0 : b0 + block]
                 gathered = km[np.ix_(members, cols)]
-                z[cols] = spmm(row, gathered, alpha=-2.0)[0]
+                z[cols] = spmm(row, gathered, alpha=-2.0)[0] / sizes[j]
 
         tasks.append(gather)
     WorkStealingPool(n_threads).run(tasks)
@@ -422,21 +425,23 @@ def _label_gather(
 class _PopcornArgmin(ArgminReduction):
     """Fused ``argmin_j (-2 K V^T + P~ + C~)`` over row x cluster chunks."""
 
-    def __init__(self, km, v, p_norms, c_norms, **kwargs) -> None:
+    def __init__(self, km, v, sizes, p_norms, c_norms, **kwargs) -> None:
         super().__init__(km.shape[0], v.nrows, km.dtype, **kwargs)
         self._km = km
         self._v = v
+        self._s = sizes
         self._p = p_norms
         self._c = c_norms
 
     def _row_context(self, r0: int, r1: int):
-        # a view: the SpMM gathers rows of its dense operand, so no
-        # contiguous copy of the K panel is ever needed
-        return self._km[:, r0:r1]
+        # one C-order copy of the K panel per row chunk (none when the
+        # chunk spans K), shared by every cluster chunk's SpMM
+        return np.ascontiguousarray(self._km[:, r0:r1])
 
     def _panel(self, kp, r0, r1, c0, c1) -> np.ndarray:
         vc = self._v if c0 == 0 and c1 == self.n_cols else csr_row_slice(self._v, c0, c1)
-        e = spmm(vc, kp, alpha=-2.0)  # (cc, rr); rows of the legacy E^T
+        e = spmm(vc, kp, alpha=-2.0)  # (cc, rr); rows of E^T
+        e /= self._s[c0:c1, None]
         panel = e.T + self._p[r0:r1, None]
         panel += self._c[c0:c1][None, :]
         return panel
@@ -445,32 +450,31 @@ class _PopcornArgmin(ArgminReduction):
 class FusedDistances:
     """Result of one fused Popcorn distance step.
 
-    Holds the argmin outputs (``labels``, ``min_d``) plus the pipeline
-    operands (``v``, ``z``, ``c_norms``) and an exact on-demand entry
-    evaluator :meth:`at` — everything the fit loop's objective,
-    convergence and empty-cluster-reseed policies need, with no ``n x k``
-    block anywhere.  ``panel_bytes`` is the peak resident distance-panel
-    footprint per worker.
+    Holds the argmin outputs (``labels``, ``min_d``) plus the operands
+    of an exact on-demand entry evaluator :meth:`at` (the factored
+    selection ``V = diag(1/sizes) v`` and ``c_norms``) — everything the
+    fit loop's objective, convergence and empty-cluster-reseed policies
+    need, with no ``n x k`` block anywhere.
     """
 
-    __slots__ = ("labels", "min_d", "v", "z", "c_norms", "panel_bytes", "_km", "_p")
+    __slots__ = ("labels", "min_d", "v", "sizes", "c_norms", "_km", "_p")
 
-    def __init__(self, labels, min_d, v, z, c_norms, km, p_norms, panel_bytes) -> None:
+    def __init__(self, labels, min_d, v, sizes, c_norms, km, p_norms) -> None:
         self.labels = labels
         self.min_d = min_d
         self.v = v
-        self.z = z
+        self.sizes = sizes
         self.c_norms = c_norms
-        self.panel_bytes = int(panel_bytes)
         self._km = km
         self._p = p_norms
 
     def at(self, rows, cols) -> np.ndarray:
         """Exact distance entries ``D[rows[t], cols[t]]``, one at a time.
 
-        Each entry re-runs the same SpMM arithmetic the panels use on
-        that single (point, cluster) pair, so the value is bitwise the
-        legacy ``D[i, j]`` — including empty clusters, whose SpMM/SpMV
+        Each entry is the same sequential sum over cluster ``j``'s
+        nonzeros, divided by ``sizes[j]``, that the panels compute for
+        that (point, cluster) pair, so the value is bitwise the
+        full-matrix ``D[i, j]`` — including empty clusters, whose SpMM/SpMV
         contributions are exact zeros (``D[i, j_empty] = (0 + P~_i) + 0``).
         Used by the reseed policy, which touches at most ``k`` entries.
         """
@@ -488,7 +492,7 @@ class FusedDistances:
             else:
                 members = v.colinds[lo:hi]
                 row = _one_row_csr(v.values[lo:hi])
-                e = spmm(row, km[members, i][:, None], alpha=-2.0)[0, 0]
+                e = spmm(row, km[members, i][:, None], alpha=-2.0)[0, 0] / self.sizes[j]
             out[t] = (e + self._p[i]) + self.c_norms[j]
         return out
 
@@ -506,20 +510,20 @@ def fused_popcorn_argmin(
 ) -> FusedDistances:
     """One Popcorn distance step through the fused reduction engine.
 
-    Three phases, each bitwise equal to its legacy counterpart:
+    Three phases, each bitwise equal to its full-matrix counterpart:
 
     1. **z-pass** — :func:`_label_gather` computes ``z_i = E[i, lab_i]``
        per cluster without building E;
-    2. **centroid norms** — the same ``C~ = -0.5 V z`` SpMV the tiled
-       pipeline runs (the -0.5 cancels the -2 and is an exact
-       power-of-two scaling);
+    2. **centroid norms** — the same ``C~ = -0.5 V z`` SpMV the
+       full-matrix pipeline runs (the -0.5 cancels the -2 and is an
+       exact power-of-two scaling), divided once by the cluster sizes;
     3. **fused argmin** — :class:`_PopcornArgmin` sweeps
        ``chunk_rows x chunk_cols`` panels of ``E^T + P~ + C~``,
        thread-parallel over row chunks.
 
     Returns a :class:`FusedDistances`; ``labels``/``min_d`` match the
-    legacy pipeline plus row argmin bit for bit, for every chunk shape
-    and thread count (property-tested).
+    full-matrix pipeline plus row argmin bit for bit, for every chunk
+    shape and thread count (property-tested).
     """
     n = k_mat.shape[0]
     if k_mat.shape != (n, n):
@@ -527,14 +531,12 @@ def fused_popcorn_argmin(
     lab = check_labels(labels, n, k)
     dt = np.dtype(dtype) if dtype is not None else k_mat.dtype
     km = k_mat.astype(dt, copy=False)
-    if weights is None:
-        v = selection_matrix(lab, k, dtype=dt)
-    else:
-        v = weighted_selection_matrix(lab, k, weights, dtype=dt)
+    v, sizes = factored_selection(lab, k, weights=weights, dtype=dt)
     p_norms = np.diagonal(km)
     red = _PopcornArgmin(
         km,
         v,
+        sizes,
         p_norms,
         np.zeros(k, dtype=dt),  # placeholder until c_norms exist
         chunk_rows=chunk_rows,
@@ -542,12 +544,13 @@ def fused_popcorn_argmin(
         n_threads=n_threads,
     )
     z = _label_gather(
-        km, v, lab, budget_elems=max(red.panel_bytes // dt.itemsize, 1), n_threads=n_threads
+        km, v, sizes, budget_elems=max(red.panel_bytes // dt.itemsize, 1), n_threads=n_threads
     )
     c_norms = spmv(v, z, alpha=-0.5)
+    c_norms /= sizes
     red._c = c_norms
     red.run()
-    return FusedDistances(red.labels, red.min_d, v, z, c_norms, km, p_norms, red.panel_bytes)
+    return FusedDistances(red.labels, red.min_d, v, sizes, c_norms, km, p_norms)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +588,9 @@ class CrossKernelArgmin(ArgminReduction):
             raise ShapeError(
                 f"cross-kernel chunk must be {(r1 - r0, self._v.ncols)}, got {kc.shape}"
             )
-        return kc.T  # (n_support, rr) view; the SpMM accepts any layout
+        # one C-order (n_support, rr) operand per row chunk, shared by
+        # every cluster chunk's SpMM
+        return np.ascontiguousarray(kc.T)
 
     def _panel(self, kct, r0, r1, c0, c1) -> np.ndarray:
         vc = self._v if c0 == 0 and c1 == self.n_cols else csr_row_slice(self._v, c0, c1)

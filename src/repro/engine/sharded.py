@@ -15,7 +15,8 @@ the kernel matrix (:func:`repro.distributed.partition.row_blocks`):
   allgather of ``n`` words.
 
 **Numerics are the host backend's, bit for bit.**  The CSR SpMM computes
-every output row independently, so the row-sharded product is identical
+each output entry as one sequential sum over its sparse row, independent
+of every other entry, so the row-sharded product is identical
 to the monolithic one (the same property the chunked fused reduction
 of :mod:`repro.engine.reduction` rests on); the backend therefore executes the
 exact host pipeline once while the *cost model* charges per-device

@@ -24,15 +24,21 @@ class DeviceCSR:
     """A CSR matrix resident on a simulated device.
 
     Tracks the CSR arrays' footprint against device memory; freed like a
-    dense :class:`~repro.gpu.memory.DeviceArray`.
+    dense :class:`~repro.gpu.memory.DeviceArray`.  With ``sizes`` the
+    buffer holds a factored matrix ``diag(1/sizes) csr``
+    (:func:`repro.sparse.factored_selection`): the SpMM/SpMV shims
+    divide each output row by its size once.
     """
 
-    __slots__ = ("_csr", "device", "_alive", "nbytes")
+    __slots__ = ("_csr", "sizes", "device", "_alive", "nbytes")
 
-    def __init__(self, device: Device, csr: CSRMatrix) -> None:
+    def __init__(self, device: Device, csr: CSRMatrix, sizes: np.ndarray | None = None) -> None:
         self.device = device
         self._csr = csr
+        self.sizes = sizes
         self.nbytes = int(csr.values.nbytes + csr.colinds.nbytes + csr.rowptrs.nbytes)
+        if sizes is not None:
+            self.nbytes += int(sizes.nbytes)
         device._reserve(self.nbytes)
         self._alive = True
 
@@ -61,12 +67,20 @@ class DeviceCSR:
             self._alive = False
             self.device._release(self.nbytes)
             self._csr = None  # type: ignore[assignment]
+            self.sizes = None
 
     def _check(self, device: Device) -> None:
         if self.device is not device:
             raise DeviceError("CSR buffer resident on a different device")
         if not self._alive:
             raise DeviceError("use of freed device CSR buffer")
+
+
+def _scaled_rows(prod: np.ndarray, v: DeviceCSR) -> np.ndarray:
+    """Divide a product's rows by a factored matrix's sizes, in place."""
+    if v.sizes is not None:
+        prod /= v.sizes.reshape((-1,) + (1,) * (prod.ndim - 1))
+    return prod
 
 
 def spmm_kvt(
@@ -83,7 +97,7 @@ def spmm_kvt(
     kk, n = v.shape
     if k_mat.shape != (n, n):
         raise ShapeError(f"K must be ({n}, {n}), got {k_mat.shape}")
-    prod = _spmm(v.m, k_mat.a, alpha=alpha)  # (k, n)
+    prod = _scaled_rows(_spmm(v.m, k_mat.a, alpha=alpha), v)  # (k, n)
     out = device.wrap(np.ascontiguousarray(prod.T))  # (n, k)
     device.record(cost.spmm_cost(device.spec, n, kk))
     return out
@@ -107,7 +121,7 @@ def spmm_kvt_tile(
     if k_panel.a.ndim != 2 or k_panel.shape[0] != n:
         raise ShapeError(f"K panel must have {n} rows, got {k_panel.shape}")
     rows = k_panel.shape[1]
-    prod = _spmm(v.m, k_panel.a, alpha=alpha)  # (k, rows)
+    prod = _scaled_rows(_spmm(v.m, k_panel.a, alpha=alpha), v)  # (k, rows)
     out = device.wrap(np.ascontiguousarray(prod.T))  # (rows, k)
     device.record(cost.spmm_tile_cost(device.spec, rows, n, kk))
     return out
@@ -120,7 +134,7 @@ def spmv(device: Device, v: DeviceCSR, z: DeviceArray, *, alpha: float = 1.0) ->
     kk, n = v.shape
     if z.shape != (n,):
         raise ShapeError(f"z must have length {n}, got {z.shape}")
-    out = device.wrap(_spmv(v.m, z.a, alpha=alpha))
+    out = device.wrap(_scaled_rows(_spmv(v.m, z.a, alpha=alpha), v))
     device.record(cost.spmv_cost(device.spec, n, kk))
     return out
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .._typing import check_labels
 from ..errors import ShapeError
-from ..sparse import selection_matrix, weighted_selection_matrix
+from ..sparse import factored_selection
 from . import cost
 from .cusparse import DeviceCSR
 from .device import Device
@@ -53,16 +53,15 @@ def v_build(
     """Build the selection matrix V on the device (Sec. 4.1).
 
     A reduction computes cluster cardinalities and a scatter kernel fills
-    the CSR arrays; the cost model charges both launches.  With
-    ``weights``, the weighted variant ``V_w`` (values ``w_i / s_j``) is
-    built instead — same structure, same cost.
+    the CSR arrays; the cost model charges both launches.  V is held in
+    factored form ``diag(1/s) B`` (:func:`repro.sparse.factored_selection`),
+    with ``B`` the cluster indicator and ``s`` the cardinalities; with
+    ``weights``, the weighted variant ``V_w`` (``B`` holds ``w_i`` and
+    ``s_j`` the cluster weight) is built instead — same structure, same
+    cost.
     """
     lab = check_labels(labels, labels.shape[0], k)
-    if weights is None:
-        csr = selection_matrix(lab, k, dtype=dtype)
-    else:
-        csr = weighted_selection_matrix(lab, k, weights, dtype=dtype)
-    v = DeviceCSR(device, csr)
+    v = DeviceCSR(device, *factored_selection(lab, k, weights=weights, dtype=dtype))
     device.record(cost.vbuild_cost(device.spec, lab.shape[0], k))
     return v
 

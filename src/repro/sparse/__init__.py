@@ -9,8 +9,8 @@ directly on NumPy, mirroring the CSR layout cuSPARSE uses.
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .construct import (
-    binary_selection_matrix,
     cluster_counts,
+    factored_selection,
     from_coo,
     from_dense,
     from_scipy,
@@ -43,7 +43,7 @@ __all__ = [
     "random_csr",
     "selection_matrix",
     "weighted_selection_matrix",
-    "binary_selection_matrix",
+    "factored_selection",
     "cluster_counts",
     "transpose",
     "diagonal",

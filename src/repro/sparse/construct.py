@@ -8,6 +8,8 @@ cluster ``j``.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from .._typing import INDEX_DTYPE, as_float_dtype, as_index_vector, as_matrix
@@ -22,7 +24,7 @@ __all__ = [
     "random_csr",
     "selection_matrix",
     "weighted_selection_matrix",
-    "binary_selection_matrix",
+    "factored_selection",
     "cluster_counts",
 ]
 
@@ -166,17 +168,7 @@ def selection_matrix(labels: np.ndarray, k: int, *, dtype=np.float32) -> CSRMatr
     dtype:
         Floating dtype of the stored reciprocal cardinalities.
     """
-    lab = as_index_vector(labels, name="labels")
-    n = lab.shape[0]
-    counts = cluster_counts(lab, k)
-    order = np.argsort(lab, kind="stable").astype(INDEX_DTYPE)
-    dt = as_float_dtype(dtype)
-    with np.errstate(divide="ignore"):
-        inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    values = inv[lab[order]].astype(dt)
-    rowptrs = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=rowptrs[1:])
-    return CSRMatrix(values, order, rowptrs, (k, n), check=False)
+    return _normalised(*factored_selection(labels, k, dtype=np.float64), dtype)
 
 
 def weighted_selection_matrix(
@@ -190,37 +182,49 @@ def weighted_selection_matrix(
     empty rows; clusters whose total weight is zero (possible with
     zero-weight points) also produce zero rows.
     """
-    lab = as_index_vector(labels, name="labels")
-    n = lab.shape[0]
-    if lab.size and (lab.min() < 0 or lab.max() >= k):
-        raise ShapeError(f"labels must lie in [0, {k})")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ShapeError("weights must be 1-D")
-    if w.shape[0] != n:
-        raise ShapeError(f"weights must have length {n}, got {w.shape[0]}")
-    if np.any(w < 0):
-        raise ConfigError("weights must be non-negative")
-    s = np.bincount(lab, weights=w, minlength=k)
-    order = np.argsort(lab, kind="stable").astype(INDEX_DTYPE)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_s = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    values = (w[order] * inv_s[lab[order]]).astype(as_float_dtype(dtype))
-    rowptrs = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lab, minlength=k), out=rowptrs[1:])
-    return CSRMatrix(values, order, rowptrs, (k, n), check=False)
+    b, sizes = factored_selection(labels, k, weights=weights, dtype=np.float64)
+    return _normalised(b, sizes, dtype)
 
 
-def binary_selection_matrix(labels: np.ndarray, k: int, *, dtype=np.float32) -> CSRMatrix:
-    """Unnormalised indicator variant of :func:`selection_matrix`.
+def _normalised(b: CSRMatrix, sizes: np.ndarray, dtype) -> CSRMatrix:
+    """``diag(1/sizes) b`` with the values cast to ``dtype``."""
+    values = (b.values * (1.0 / sizes)[b.row_indices()]).astype(as_float_dtype(dtype))
+    return CSRMatrix(values, b.colinds, b.rowptrs, b.shape, check=False)
 
-    ``V[j, i] = 1`` iff point ``i`` is in cluster ``j``.  Useful for
-    computing cluster sums rather than means.
+
+def factored_selection(
+    labels: np.ndarray, k: int, *, weights: np.ndarray | None = None, dtype=np.float32
+) -> Tuple[CSRMatrix, np.ndarray]:
+    """The selection matrix in factored form ``V = diag(1 / s) B``.
+
+    ``B[j, i]`` is ``1`` (or ``w_i`` with ``weights``) iff point ``i`` is
+    in cluster ``j`` — the unnormalised indicator, whose products are
+    cluster sums rather than means — and ``s_j`` is ``|L_j|`` (or the cluster's total
+    weight) — ``1`` for a row that sums to zero, so dividing by it leaves
+    that row's zero products alone.  A product through ``B`` divided once
+    per output row by ``s`` rounds once, where ``V``'s stored ``1/|L_j|``
+    rounds in every term: the mean of ``|L_j|`` equal entries comes back
+    exactly.
     """
     lab = as_index_vector(labels, name="labels")
     counts = cluster_counts(lab, k)
+    n = lab.shape[0]
+    dt = as_float_dtype(dtype)
     order = np.argsort(lab, kind="stable").astype(INDEX_DTYPE)
-    values = np.ones(lab.shape[0], dtype=as_float_dtype(dtype))
+    if weights is None:
+        values = np.ones(n, dtype=dt)
+        sums = counts.astype(np.float64)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 1:
+            raise ShapeError("weights must be 1-D")
+        if w.shape[0] != n:
+            raise ShapeError(f"weights must have length {n}, got {w.shape[0]}")
+        if np.any(w < 0):
+            raise ConfigError("weights must be non-negative")
+        values = w[order].astype(dt)
+        sums = np.bincount(lab, weights=w, minlength=k)
     rowptrs = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts, out=rowptrs[1:])
-    return CSRMatrix(values, order, rowptrs, (k, lab.shape[0]), check=False)
+    b = CSRMatrix(values, order, rowptrs, (k, n), check=False)
+    return b, np.where(sums > 0, sums, 1.0).astype(dt)

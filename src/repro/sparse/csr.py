@@ -45,7 +45,7 @@ class CSRMatrix:
         construct trusted output pass ``check=False`` for speed.
     """
 
-    __slots__ = ("values", "colinds", "rowptrs", "shape")
+    __slots__ = ("values", "colinds", "rowptrs", "shape", "_kernel_index")
 
     def __init__(
         self,
@@ -61,6 +61,7 @@ class CSRMatrix:
         self.rowptrs = np.ascontiguousarray(rowptrs, dtype=np.int64)
         nrows, ncols = int(shape[0]), int(shape[1])
         self.shape = (nrows, ncols)
+        self._kernel_index = None
         if check:
             self.validate()
 
@@ -146,6 +147,22 @@ class CSRMatrix:
     def row_nnz(self) -> np.ndarray:
         """Per-row nonzero counts, shape ``(nrows,)``."""
         return np.diff(self.rowptrs)
+
+    def kernel_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rowptrs, colinds)`` in the one integer dtype the compiled
+        SpMM/SpMV kernel takes, built on first use and kept.
+
+        ``colinds`` is already int32, so only the short ``rowptrs`` array
+        is narrowed — unless ``nnz`` overflows int32, when ``colinds`` is
+        widened instead.  The arrays must not be mutated after this call.
+        """
+        if self._kernel_index is None:
+            if self.nnz <= np.iinfo(np.int32).max:
+                pair = (self.rowptrs.astype(np.int32), self.colinds)
+            else:
+                pair = (self.rowptrs, self.colinds.astype(np.int64))
+            self._kernel_index = pair
+        return self._kernel_index
 
     def row_indices(self) -> np.ndarray:
         """Expand ``rowptrs`` into a per-nonzero row index (COO row array)."""

@@ -12,6 +12,7 @@ import numpy as np
 from .._typing import INDEX_DTYPE
 from ..errors import ShapeError
 from .csr import CSRMatrix
+from .spmv import spmv
 
 __all__ = [
     "transpose",
@@ -92,15 +93,9 @@ def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
 
 
 def row_sums(a: CSRMatrix) -> np.ndarray:
-    """Per-row sums as a dense vector of length ``nrows``."""
-    out = np.zeros(a.nrows, dtype=a.dtype)
-    if a.nnz == 0:
-        return out
-    sizes = np.diff(a.rowptrs)
-    nonempty = np.flatnonzero(sizes > 0)
-    starts = a.rowptrs[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(a.values, starts)
-    return out
+    """Per-row sums as a dense vector of length ``nrows``: the SpMV
+    against a ones vector, one sequential sum per row."""
+    return spmv(a, np.ones(a.ncols, dtype=a.dtype))
 
 
 def col_sums(a: CSRMatrix) -> np.ndarray:

@@ -3,11 +3,17 @@
 Computes ``y = alpha * A @ x`` for CSR ``A``.  This mirrors the cuSPARSE
 SpMV that Popcorn uses for the centroid-norm trick ``-0.5 * V z``
 (paper Alg. 2 line 9 / Eq. 15).
+
+It runs on the same compiled CSR kernel family as
+:func:`repro.sparse.spmm` (scipy's ``csr_matvec``): each output entry is
+one strictly sequential sum of ``(alpha * a_il) * x_l`` in the row's
+nonzero order, bitwise equal to ``spmm(a, x[:, None], alpha=alpha)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .._typing import as_vector
 from ..errors import ShapeError
@@ -28,7 +34,8 @@ def spmv(
     x:
         Dense vector of length ``n``.
     alpha:
-        Scalar multiplier fused into the product.
+        Scalar multiplier folded into the stored values before the
+        product.
     out:
         Optional preallocated length-``m`` output vector.
 
@@ -47,16 +54,16 @@ def spmv(
         raise ShapeError("out must be a length-m vector of the result dtype")
     else:
         out[...] = 0
-
     if a.nnz == 0:
         return out
 
-    contrib = a.values * xv[a.colinds]
-    if alpha != 1.0:
-        contrib *= a.dtype.type(alpha)
-    row_sizes = np.diff(a.rowptrs)
-    nonempty = np.flatnonzero(row_sizes > 0)
-    if nonempty.size:
-        starts = a.rowptrs[:-1][nonempty]
-        out[nonempty] = np.add.reduceat(contrib, starts)
+    xv = np.ascontiguousarray(xv)
+    vals = a.values if alpha == 1.0 else a.values * a.dtype.type(alpha)
+    rowptrs, colinds = a.kernel_index()
+    if out.flags.c_contiguous:
+        _sparsetools.csr_matvec(m, n, rowptrs, colinds, vals, xv, out)
+    else:
+        y = np.zeros(m, dtype=a.dtype)
+        _sparsetools.csr_matvec(m, n, rowptrs, colinds, vals, xv, y)
+        out[...] = y
     return out

@@ -1,6 +1,6 @@
 """Positive and negative fixtures for the syntactic house rules.
 
-One test class per rule (RPR101, RPR102, RPR103, RPR107, RPR108), each
+One test class per rule (RPR101, RPR102, RPR103, RPR107, RPR108, RPR109), each
 with cases that must flag and cases that must stay silent — the rule's
 contract, pinned.
 """
@@ -14,6 +14,7 @@ from repro.analysis.rules import (
     NondeterminismRule,
     ObsNamingRule,
     PickleBanRule,
+    SingleCSRKernelRule,
 )
 
 
@@ -316,5 +317,45 @@ class TestRPR108Nondeterminism:
             NondeterminismRule(),
             "import time\nt = time.time()\n",
             "src/repro/serve/service.py",
+        )
+        assert out == []
+
+
+class TestRPR109SingleCSRKernel:
+    PATH = "src/repro/sparse/foo.py"
+
+    def test_flags_np_add_reduceat(self):
+        out = _findings(
+            SingleCSRKernelRule(),
+            "import numpy as np\nout = np.add.reduceat(contrib, starts)\n",
+            self.PATH,
+        )
+        assert [f.rule for f in out] == ["RPR109"]
+        assert out[0].line == 2
+
+    def test_flags_numpy_spelling_and_bare_reference(self):
+        out = _findings(
+            SingleCSRKernelRule(),
+            "import numpy\nseg = numpy.add.reduceat\n",
+            "src/repro/engine/bar.py",
+        )
+        assert [f.rule for f in out] == ["RPR109"]
+
+    def test_other_reductions_pass(self):
+        out = _findings(
+            SingleCSRKernelRule(),
+            "import numpy as np\n"
+            "a = np.add.reduce(x)\n"
+            "b = np.add.at(y, idx, 1)\n"
+            "c = np.minimum.reduceat(x, starts)\n",
+            self.PATH,
+        )
+        assert out == []
+
+    def test_out_of_scope_paths_ignored(self):
+        out = _findings(
+            SingleCSRKernelRule(),
+            "import numpy as np\nout = np.add.reduceat(x, starts)\n",
+            "tests/sparse/test_foo.py",
         )
         assert out == []

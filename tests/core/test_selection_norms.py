@@ -1,10 +1,13 @@
 """Tests for the selection-matrix invariants and centroid-norm routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import PopcornKernelKMeans
 from repro.baselines import random_labels
 from repro.core import (
     build_selection,
@@ -129,3 +132,47 @@ class TestCentroidNorms:
         got = centroid_norms_spmv(kvt, v, labels)
         want = centroid_norms_reference(k_mat, labels, k)
         assert np.allclose(got, want, atol=1e-8)
+
+
+class TestFinalizedSupportNorms:
+    """``_finalize_support`` computes the final centroid norms in float64
+    from the float32 kernel matrix without a float64 copy of it."""
+
+    def _fit_inputs(self, rng, n=240, k=5):
+        x = rng.standard_normal((n, 4)).astype(np.float32)
+        km = kernel_matrix(x, PolynomialKernel()).astype(np.float32)
+        labels = random_labels(n, k, rng)
+        labels[labels == k - 1] = 0  # one empty cluster
+        return km, labels, k
+
+    def test_matches_reference(self, rng):
+        km, labels, k = self._fit_inputs(rng)
+        est = PopcornKernelKMeans(k, backend="host")
+        est._finalize_support(km, labels)
+        want = centroid_norms_reference(km, labels, k)
+        # both sum the same float32 entries in float64, in different orders
+        assert est._c_norms.dtype == np.float64
+        assert np.allclose(est._c_norms, want, rtol=1e-10, atol=0.0)
+        assert est._c_norms[k - 1] == 0.0
+
+    def test_weighted_matches_reference(self, rng):
+        km, labels, k = self._fit_inputs(rng, n=90, k=3)
+        w = rng.uniform(0.5, 2.0, km.shape[0])
+        est = PopcornKernelKMeans(k, backend="host")
+        est._finalize_support(km, labels, weights=w)
+        onehot = np.zeros((km.shape[0], k))
+        onehot[np.arange(km.shape[0]), labels] = w
+        s = np.maximum(onehot.sum(axis=0), 1.0)
+        want = np.diagonal(onehot.T @ km.astype(np.float64) @ onehot) / s**2
+        assert np.allclose(est._c_norms, want, rtol=1e-10, atol=0.0)
+
+    def test_no_float64_copy_of_k(self, rng):
+        km, labels, k = self._fit_inputs(rng, n=600, k=6)
+        est = PopcornKernelKMeans(k, backend="host")
+        tracemalloc.start()
+        try:
+            est._finalize_support(km, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < km.nbytes  # a float64 copy alone is 2 * km.nbytes

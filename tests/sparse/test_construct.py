@@ -6,14 +6,16 @@ import scipy.sparse as sp
 
 from repro.errors import ShapeError, SparseFormatError
 from repro.sparse import (
-    binary_selection_matrix,
     cluster_counts,
+    factored_selection,
     from_coo,
     from_dense,
     from_scipy,
     identity,
     random_csr,
     selection_matrix,
+    spmm,
+    weighted_selection_matrix,
 )
 
 
@@ -186,12 +188,44 @@ class TestSelectionMatrix:
 class TestBinarySelection:
     def test_ones_values(self, rng):
         labels = rng.integers(0, 3, 15)
-        v = binary_selection_matrix(labels, 3)
+        v, _ = factored_selection(labels, 3)
         assert np.all(v.values == 1.0)
         # row sums are cluster counts
         assert np.array_equal(
             v.to_dense().sum(axis=1).astype(int), np.bincount(labels, minlength=3)
         )
+
+
+class TestFactoredSelection:
+    def test_unweighted_factors_v(self, rng):
+        labels = rng.integers(0, 4, 30)
+        labels[labels == 2] = 0  # cluster 2 empty
+        b, sizes = factored_selection(labels, 4, dtype=np.float64)
+        assert np.array_equal(sizes, np.maximum(np.bincount(labels, minlength=4), 1))
+        v = selection_matrix(labels, 4, dtype=np.float64)
+        assert np.allclose(b.to_dense() / sizes[:, None], v.to_dense(), rtol=1e-15)
+
+    def test_weighted_factors_v_w(self, rng):
+        labels = rng.integers(0, 3, 20)
+        w = rng.uniform(0.5, 2.0, 20)
+        w[labels == 1] = 0.0  # a nonempty cluster of total weight zero
+        b, sizes = factored_selection(labels, 3, weights=w, dtype=np.float64)
+        assert sizes[1] == 1.0
+        v = weighted_selection_matrix(labels, 3, w, dtype=np.float64)
+        assert np.array_equal(b.colinds, v.colinds)
+        assert np.allclose(b.to_dense() / sizes[:, None], v.to_dense(), rtol=1e-15)
+
+    def test_mean_of_equal_entries_is_exact(self):
+        """One rounding per row: 30 equal entries average back exactly,
+        where V's stored 1/30 rounds in every term."""
+        labels = np.zeros(30, dtype=np.int32)
+        ones = np.full((30, 1), 25.0, dtype=np.float32)
+        b, sizes = factored_selection(labels, 1, dtype=np.float32)
+        assert (spmm(b, ones)[0, 0] / sizes[0]) == np.float32(25.0)
+
+    def test_rejects_bad_weights(self):
+        with pytest.raises(ShapeError):
+            factored_selection(np.array([0, 1]), 2, weights=np.ones(3))
 
 
 class TestClusterCounts:

@@ -36,8 +36,7 @@ class TestSpMMCorrectness:
         b = rng.standard_normal((5, 1))
         assert np.allclose(spmm(a, b), a.to_scipy() @ b)
 
-    def test_wide_b_exceeding_block(self, rng):
-        # exercises the 128-column blocking path
+    def test_wide_b(self, rng):
         a = random_csr(10, 20, 0.3, rng=rng, dtype=np.float64)
         b = rng.standard_normal((20, 300))
         assert np.allclose(spmm(a, b), a.to_scipy() @ b, atol=1e-12)
