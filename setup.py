@@ -33,7 +33,10 @@ setup(
     python_requires=">=3.9",
     install_requires=[
         "numpy>=1.22",
-        "scipy>=1.8",
+        # repro.sparse.spmm/spmv call scipy's private compiled CSR kernel
+        # (scipy.sparse._sparsetools); raise the bound once
+        # tests/sparse/test_sequential_kernel.py passes on the new release
+        "scipy>=1.8,<1.18",
         "networkx>=2.6",
     ],
     extras_require={

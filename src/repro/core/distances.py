@@ -27,7 +27,14 @@ from ..errors import ShapeError
 from ..gpu import custom, cusparse
 from ..gpu.device import Device
 from ..gpu.memory import DeviceArray
-from ..sparse import CSRMatrix, factored_selection, spmm, spmv
+from ..sparse import (
+    CSRMatrix,
+    factored_selection,
+    factored_spmm,
+    factored_spmv,
+    selection_matrix,
+    weighted_selection_matrix,
+)
 
 __all__ = [
     "distance_matrix_reference",
@@ -62,14 +69,15 @@ def popcorn_distances_host(
 ) -> Tuple[np.ndarray, CSRMatrix]:
     """The SpMM/SpMV formulation on host arrays (no device bookkeeping).
 
-    Returns the distances matrix ``D`` and the cluster indicator ``B`` of
-    the factored selection matrix ``V = diag(1/s) B``
-    (:func:`repro.sparse.factored_selection`) used to build it.  Mirrors
-    Alg. 2 lines 7-10, including the ``-2`` / ``-0.5`` scaling dance;
-    each SpMM/SpMV output row is divided once by its cluster size.  With
-    ``weights`` the selection matrix is the weighted ``V_w`` (``B`` holds
-    ``w_i``, ``s_j`` the cluster weight); it keeps one nonzero per
-    column, so the z-gather SpMV applies unchanged.
+    Returns the distances matrix ``D`` and the selection matrix ``V``
+    (:func:`repro.sparse.selection_matrix`).  Mirrors Alg. 2 lines 7-10,
+    including the ``-2`` / ``-0.5`` scaling dance; the products run
+    through ``V``'s factored form ``diag(1/s) B``
+    (:func:`repro.sparse.factored_selection`), so each SpMM/SpMV output
+    row is divided once by its cluster size.  With ``weights`` the
+    selection matrix is the weighted ``V_w`` (``B`` holds ``w_i``,
+    ``s_j`` the cluster weight); it keeps one nonzero per column, so the
+    z-gather SpMV applies unchanged.
     """
     n = k_mat.shape[0]
     if k_mat.shape != (n, n):
@@ -77,22 +85,21 @@ def popcorn_distances_host(
     lab = check_labels(labels, n, k)
     dt = np.dtype(dtype) if dtype is not None else k_mat.dtype
     km = k_mat.astype(dt, copy=False)
-    v, sizes = factored_selection(lab, k, weights=weights, dtype=dt)
+    b, sizes = factored_selection(lab, k, weights=weights, dtype=dt)
     # E = -2 K V^T, computed in the sparse-times-dense orientation
-    et = spmm(v, km, alpha=-2.0)
-    et /= sizes[:, None]
-    e = np.ascontiguousarray(et.T)
+    e = np.ascontiguousarray(factored_spmm(b, sizes, km, alpha=-2.0).T)
     # centroid norms via the z-gather SpMV.  E is scaled by -2, so the
     # SpMV folds in -0.5 to cancel it: gathering the length-n label
     # column first and scaling inside the SpMV avoids a second n x k
     # temporary (the -0.5 is an exact power-of-two scaling)
     z = np.ascontiguousarray(e[np.arange(n), lab])
-    c_norms = spmv(v, z, alpha=-0.5)
-    c_norms /= sizes
+    c_norms = factored_spmv(b, sizes, z, alpha=-0.5)
     d = e
     d += np.diagonal(km)[:, None]
     d += c_norms[None, :]
-    return d, v
+    if weights is None:
+        return d, selection_matrix(lab, k, dtype=dt)
+    return d, weighted_selection_matrix(lab, k, weights, dtype=dt)
 
 
 def popcorn_distance_step(

@@ -11,8 +11,13 @@ Per iteration, for each row panel ``P_blk`` of ``b`` rows:
 1. ``B_blk = P_blk @ P^T``          (rectangular GEMM, b x n)
 2. ``K_blk = kappa(B_blk)``          (elementwise transform)
 3. ``E_blk = -2 K_blk V^T``          (the SpMM, b x k)
-4. gather ``z_blk``, accumulate the weighted partial centroid norms
-5. stash ``E_blk + P~_blk`` and finish ``D_blk`` once norms are complete
+4. gather ``z_blk`` into the length-n ``z``
+5. stash ``E_blk + P~_blk``; after the last panel the SpMV
+   ``C~ = -0.5 V z`` finishes every ``D_blk``
+
+``V`` runs in the factored form ``diag(1/s) B`` of the standard
+estimator (:func:`repro.sparse.factored_selection`), so each SpMM/SpMV
+output row is divided once by its cluster size.
 
 The arithmetic cost rises from O(n^2) to O(n^2 d) *per iteration* — the
 memory/compute trade-off is real and the cost model charges it, so the
@@ -39,10 +44,9 @@ from ..gpu.profiler import Profiler
 from ..gpu.spec import A100_80GB, DeviceSpec
 from ..kernels import Kernel
 from ..params import ParamSpec
-from ..sparse import spmm, spmv
+from ..sparse import factored_selection, factored_spmm, factored_spmv
 from ..baselines.init import random_labels
 from .assignment import ConvergenceTracker
-from .selection import build_selection
 
 __all__ = ["OnTheFlyKernelKMeans", "model_onthefly"]
 
@@ -167,13 +171,11 @@ class OnTheFlyKernelKMeans(OutOfSamplePredictor):
         blocks = [(lo, min(lo + b, n)) for lo in range(0, n, b)]
         n_iter = 0
         for _ in range(self.max_iter):
-            v = build_selection(labels, k, dtype=np.float64)
+            sel, sizes = factored_selection(labels, k, dtype=np.float64)
             with prof.phase("argmin_update"):
                 prof.record(cost.vbuild_cost(self.spec, n, k))
-            counts = np.bincount(labels, minlength=k).astype(np.float64)
-            inv = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
 
-            partial_norm = np.zeros(k)
+            z = np.empty(n, dtype=np.float64)
             e_panels = []
             for lo, hi in blocks:
                 rows = hi - lo
@@ -184,28 +186,24 @@ class OnTheFlyKernelKMeans(OutOfSamplePredictor):
                     prof.record(_panel_transform_cost(self.spec, rows, n,
                                                       self.kernel.flops_per_entry))
                 with prof.phase("distances"):
-                    e_blk = np.ascontiguousarray(
-                        spmm(v, np.ascontiguousarray(k_blk.T), alpha=-2.0).T
-                    )
+                    k_t = np.ascontiguousarray(k_blk.T)
+                    e_blk = np.ascontiguousarray(factored_spmm(sel, sizes, k_t, alpha=-2.0).T)
                     prof.record(_panel_spmm_cost(self.spec, rows, n, k))
-                    z_blk = e_blk[np.arange(rows), labels[lo:hi]]
+                    z[lo:hi] = e_blk[np.arange(rows), labels[lo:hi]]
                     prof.record(cost.zgather_cost(self.spec, rows, k))
-                # partial centroid norms: -0.5 * sum V[j,i] z_i over panel
-                partial_norm += -0.5 * np.bincount(
-                    labels[lo:hi], weights=z_blk, minlength=k
-                ) * inv
                 e_blk += p_norms[lo:hi, None]
                 e_panels.append(e_blk)
                 with prof.phase("distances"):
                     prof.record(cost.dadd_cost(self.spec, rows, k))
             with prof.phase("distances"):
+                c_norms = factored_spmv(sel, sizes, z, alpha=-0.5)
                 prof.record(cost.spmv_cost(self.spec, n, k))
 
             new_labels = np.empty(n, dtype=np.int32)
             objective = 0.0
             for (lo, hi), e_blk in zip(blocks, e_panels):
                 d_blk = e_blk
-                d_blk += partial_norm[None, :]
+                d_blk += c_norms[None, :]
                 lab_blk = np.argmin(d_blk, axis=1).astype(np.int32)
                 new_labels[lo:hi] = lab_blk
                 objective += float(
@@ -257,17 +255,19 @@ class OnTheFlyKernelKMeans(OutOfSamplePredictor):
         """
         n = xm.shape[0]
         k = self.n_clusters
-        v = build_selection(labels, k, dtype=np.float64)
+        sel, sizes = factored_selection(labels, k, dtype=np.float64)
         z = np.empty(n, dtype=np.float64)
         for lo, hi in blocks:
             k_blk = self._transform_panel(xm[lo:hi] @ xm.T, gram_diag, lo, hi)
-            t_blk = spmm(v, np.ascontiguousarray(k_blk.T)).T  # (rows, k) = K_blk V^T
+            k_t = np.ascontiguousarray(k_blk.T)
+            t_blk = factored_spmm(sel, sizes, k_t).T  # (rows, k) = K_blk V^T
             z[lo:hi] = t_blk[np.arange(hi - lo), labels[lo:hi]]
-        self._c_norms = spmv(v, np.ascontiguousarray(z))
+        self._c_norms = factored_spmv(sel, sizes, z)
         self._support_x = xm
         self._support_weights = None
         self._support_centers = None
-        self._support_v = v
+        self._support_v = None
+        self._support_selection(labels)
 
     # ------------------------------------------------------------------
     # kernel plumbing

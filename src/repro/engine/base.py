@@ -170,7 +170,7 @@ class OutOfSamplePredictor(ParamsProtocol):
         per-cluster block ``K[L_j, L_j]`` is promoted as it is gathered,
         so no float64 copy of K is ever made.
         """
-        from ..sparse import factored_selection, spmv
+        from ..sparse import factored_selection, factored_spmv
 
         k = self.n_clusters
         km = np.asarray(kernel_host)
@@ -179,9 +179,7 @@ class OutOfSamplePredictor(ParamsProtocol):
         b, sizes = factored_selection(labels, k, weights=weights, dtype=np.float64)
         threads = getattr(self, "n_threads", None)
         z = _label_gather(km, b, sizes, budget_elems=max(km.shape[0] * k, 1), n_threads=threads)
-        c_norms = spmv(b, z, alpha=-0.5)
-        c_norms /= sizes
-        self._c_norms = c_norms
+        self._c_norms = factored_spmv(b, sizes, z, alpha=-0.5)
         self._support_x = x
         self._support_weights = weights
         self._support_centers = None

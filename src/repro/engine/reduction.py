@@ -10,8 +10,8 @@ removes both costs, modeled on scikit-learn's
   schedule (both the sample axis and the cluster/centroid axis are
   chunked) and the work-stealing thread driver;
 * :class:`ArgminReduction` is the specialised *kernel* — it fuses the
-  row argmin (and min-distance) into the reduction, so each worker only
-  ever holds one ``chunk_rows x chunk_cols`` panel plus a running
+  row argmin (and min-distance) into the reduction, so each worker
+  holds one ``chunk_rows x chunk_cols`` distance panel plus a running
   per-row best/argbest pair.  The full distance block is never built.
 
 Concrete reductions plug in a panel evaluator:
@@ -19,10 +19,17 @@ Concrete reductions plug in a panel evaluator:
 panels (the fit loop), and :class:`CrossKernelArgmin` evaluates
 ``-2 K_c V^T + C~`` panels (out-of-sample prediction).
 
-Parallelism uses *threads*, not processes: the panel work is NumPy/BLAS
-bound (the GIL is released inside the ufunc loops) and the operands are
-shared read-only, so row chunks are distributed over a small
-work-stealing pool (:class:`WorkStealingPool`) with no copies.
+Parallelism uses *threads*, not processes: the panel work is NumPy and
+compiled-kernel bound (the GIL is released inside them) and the operands
+are shared read-only, so row chunks are distributed over a small
+work-stealing pool (:class:`WorkStealingPool`).  Each worker makes one
+copy per row chunk: the dense SpMM operand for that chunk (the
+``n x chunk_rows`` K panel, or the transposed ``n_support x chunk_rows``
+cross-kernel panel) in C order, shared by all of the chunk's cluster
+panels.  That copy is ``n / chunk_cols`` times the distance panel
+(about 80 MB per worker at ``n = 10000`` with float32 K and the default
+2048 rows), so ``chunk_rows`` bounds memory through it, not through the
+distance panel.
 
 Bit-exactness contract
 ----------------------
@@ -37,9 +44,10 @@ for every chunk shape and thread count:
   (sample chunks) leaves every E entry unchanged, and chunk boundaries
   never move a rounding;
 * the selection matrix runs in factored form ``V = diag(1/s) B``
-  (:func:`repro.sparse.factored_selection`): every E entry and centroid
-  norm is its SpMM/SpMV sum divided once by ``s_j``, elementwise, so
-  the division is as chunk-invariant as the sum;
+  (:func:`repro.sparse.factored_selection`) through
+  :func:`repro.sparse.factored_spmm` and ``factored_spmv``: every E
+  entry and centroid norm is its SpMM/SpMV sum divided once by ``s_j``,
+  elementwise, so the division is as chunk-invariant as the sum;
 * panels add ``(E + P~) + C~`` in the exact association and dtype of the
   full-matrix ``d += p; d += c`` sequence;
 * the running reduction updates on strict ``<`` with column chunks
@@ -64,7 +72,7 @@ import numpy as np
 from .._typing import INDEX_DTYPE, check_labels
 from ..errors import ConfigError, ShapeError
 from ..obs import metrics, trace
-from ..sparse import CSRMatrix, factored_selection, spmm, spmv
+from ..sparse import CSRMatrix, factored_selection, factored_spmm, factored_spmv, spmm
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -293,8 +301,9 @@ class PairwiseReduction(ABC):
 class ArgminReduction(PairwiseReduction):
     """Fused row-argmin over chunked panels.
 
-    Each row chunk holds one ``chunk_rows x chunk_cols`` panel plus a
-    running per-row ``(best, argbest)`` pair; column chunks are visited
+    Each row chunk holds its :meth:`_row_context` operand, one
+    ``chunk_rows x chunk_cols`` panel and a running per-row
+    ``(best, argbest)`` pair; column chunks are visited
     in ascending order and the running minimum updates on strict ``<``,
     so ties resolve to the lowest column index exactly as a full-row
     ``np.argmin`` would (the :func:`repro.core.assignment.argmin_assign`
@@ -325,7 +334,11 @@ class ArgminReduction(PairwiseReduction):
 
     @property
     def panel_bytes(self) -> int:
-        """Peak resident distance-panel bytes per worker (the memory bound)."""
+        """Peak resident distance-panel bytes per worker.
+
+        The per-row-chunk operand copy of :meth:`_row_context` is not
+        counted; it is the larger of the two (see the module docstring).
+        """
         rows = self.n_rows if self.chunk_rows is None else min(self.chunk_rows, self.n_rows)
         cols = self.n_cols if self.chunk_cols is None else min(self.chunk_cols, self.n_cols)
         return int(max(rows, 1) * cols * self.dtype.itemsize)
@@ -415,7 +428,7 @@ def _label_gather(
             for b0 in range(0, nj, block):
                 cols = members[b0 : b0 + block]
                 gathered = km[np.ix_(members, cols)]
-                z[cols] = spmm(row, gathered, alpha=-2.0)[0] / sizes[j]
+                z[cols] = factored_spmm(row, sizes[j : j + 1], gathered, alpha=-2.0)[0]
 
         tasks.append(gather)
     WorkStealingPool(n_threads).run(tasks)
@@ -440,8 +453,7 @@ class _PopcornArgmin(ArgminReduction):
 
     def _panel(self, kp, r0, r1, c0, c1) -> np.ndarray:
         vc = self._v if c0 == 0 and c1 == self.n_cols else csr_row_slice(self._v, c0, c1)
-        e = spmm(vc, kp, alpha=-2.0)  # (cc, rr); rows of E^T
-        e /= self._s[c0:c1, None]
+        e = factored_spmm(vc, self._s[c0:c1], kp, alpha=-2.0)  # (cc, rr); rows of E^T
         panel = e.T + self._p[r0:r1, None]
         panel += self._c[c0:c1][None, :]
         return panel
@@ -492,7 +504,8 @@ class FusedDistances:
             else:
                 members = v.colinds[lo:hi]
                 row = _one_row_csr(v.values[lo:hi])
-                e = spmm(row, km[members, i][:, None], alpha=-2.0)[0, 0] / self.sizes[j]
+                col = km[members, i][:, None]
+                e = factored_spmm(row, self.sizes[j : j + 1], col, alpha=-2.0)[0, 0]
             out[t] = (e + self._p[i]) + self.c_norms[j]
         return out
 
@@ -546,8 +559,7 @@ def fused_popcorn_argmin(
     z = _label_gather(
         km, v, sizes, budget_elems=max(red.panel_bytes // dt.itemsize, 1), n_threads=n_threads
     )
-    c_norms = spmv(v, z, alpha=-0.5)
-    c_norms /= sizes
+    c_norms = factored_spmv(v, sizes, z, alpha=-0.5)
     red._c = c_norms
     red.run()
     return FusedDistances(red.labels, red.min_d, v, sizes, c_norms, km, p_norms)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DeviceError, ShapeError
-from ..sparse import CSRMatrix, spgemm as _spgemm, spgemm_flops, spmm as _spmm, spmv as _spmv
+from ..sparse import CSRMatrix, factored_spmm, factored_spmv, spgemm as _spgemm, spgemm_flops
 from . import cost
 from .device import Device
 from .memory import DeviceArray
@@ -76,13 +76,6 @@ class DeviceCSR:
             raise DeviceError("use of freed device CSR buffer")
 
 
-def _scaled_rows(prod: np.ndarray, v: DeviceCSR) -> np.ndarray:
-    """Divide a product's rows by a factored matrix's sizes, in place."""
-    if v.sizes is not None:
-        prod /= v.sizes.reshape((-1,) + (1,) * (prod.ndim - 1))
-    return prod
-
-
 def spmm_kvt(
     device: Device, k_mat: DeviceArray, v: DeviceCSR, *, alpha: float = -2.0
 ) -> DeviceArray:
@@ -97,7 +90,7 @@ def spmm_kvt(
     kk, n = v.shape
     if k_mat.shape != (n, n):
         raise ShapeError(f"K must be ({n}, {n}), got {k_mat.shape}")
-    prod = _scaled_rows(_spmm(v.m, k_mat.a, alpha=alpha), v)  # (k, n)
+    prod = factored_spmm(v.m, v.sizes, k_mat.a, alpha=alpha)  # (k, n)
     out = device.wrap(np.ascontiguousarray(prod.T))  # (n, k)
     device.record(cost.spmm_cost(device.spec, n, kk))
     return out
@@ -121,7 +114,7 @@ def spmm_kvt_tile(
     if k_panel.a.ndim != 2 or k_panel.shape[0] != n:
         raise ShapeError(f"K panel must have {n} rows, got {k_panel.shape}")
     rows = k_panel.shape[1]
-    prod = _scaled_rows(_spmm(v.m, k_panel.a, alpha=alpha), v)  # (k, rows)
+    prod = factored_spmm(v.m, v.sizes, k_panel.a, alpha=alpha)  # (k, rows)
     out = device.wrap(np.ascontiguousarray(prod.T))  # (rows, k)
     device.record(cost.spmm_tile_cost(device.spec, rows, n, kk))
     return out
@@ -134,7 +127,7 @@ def spmv(device: Device, v: DeviceCSR, z: DeviceArray, *, alpha: float = 1.0) ->
     kk, n = v.shape
     if z.shape != (n,):
         raise ShapeError(f"z must have length {n}, got {z.shape}")
-    out = device.wrap(_scaled_rows(_spmv(v.m, z.a, alpha=alpha), v))
+    out = device.wrap(factored_spmv(v.m, v.sizes, z.a, alpha=alpha))
     device.record(cost.spmv_cost(device.spec, n, kk))
     return out
 

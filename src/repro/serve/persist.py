@@ -58,7 +58,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SparseFormatError
 from ..estimators import estimator_config, estimator_from_config
 
 __all__ = [
@@ -247,16 +247,7 @@ def load_model(path: str):
     if name in _CENTERS_ALIASED and getattr(model, "_support_centers", None) is not None:
         model.centers_ = model._support_centers
     if "support_v_values" in arrays:
-        from ..sparse import CSRMatrix
-
-        shape = tuple(int(s) for s in arrays["support_v_shape"])
-        model._support_v = CSRMatrix(
-            arrays["support_v_values"],
-            arrays["support_v_colinds"],
-            arrays["support_v_rowptrs"],
-            shape,
-            check=False,
-        )
+        model._support_v = _support_v_from(path, arrays)
     online_meta = meta.get("online")
     if online_meta is not None and "online_counts" in arrays:
         from ..engine.minibatch import restore_online_state
@@ -266,6 +257,46 @@ def load_model(path: str):
     if not hasattr(model, "labels_"):
         raise ConfigError(f"{path}: artifact carries no labels array")
     return model
+
+
+def _support_v_from(path: str, arrays: Dict[str, np.ndarray]):
+    """The persisted support selection matrix, bounds-checked.
+
+    The compiled SpMM/SpMV kernel does no bounds checking, so a file
+    whose CSR arrays point outside the matrix would read out of bounds
+    at predict time.  Row offsets, column range, array lengths and the
+    support width are checked here; column order within a row is not,
+    since mini-batch updates build the support V unsorted.
+    """
+    from ..sparse import CSRMatrix
+
+    try:
+        shape = tuple(int(s) for s in np.asarray(arrays["support_v_shape"]).ravel())
+        if len(shape) != 2:
+            raise SparseFormatError(f"support_v_shape must hold 2 entries, got {len(shape)}")
+        v = CSRMatrix(
+            arrays["support_v_values"],
+            arrays["support_v_colinds"],
+            arrays["support_v_rowptrs"],
+            shape,
+            check=False,
+        )
+        v.validate(canonical=False)
+    except (SparseFormatError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: damaged support selection matrix: {exc}") from exc
+    support_x = arrays.get("support_x")
+    if support_x is not None and (support_x.ndim != 2 or support_x.shape[0] != v.ncols):
+        raise ConfigError(
+            f"{path}: support selection matrix has {v.ncols} columns but the "
+            f"support set has shape {support_x.shape}"
+        )
+    c_norms = arrays.get("c_norms")
+    if c_norms is not None and c_norms.shape != (v.nrows,):
+        raise ConfigError(
+            f"{path}: support selection matrix has {v.nrows} rows but c_norms "
+            f"has shape {c_norms.shape}"
+        )
+    return v
 
 
 def inspect_model(path: str) -> dict:

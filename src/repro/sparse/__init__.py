@@ -30,8 +30,8 @@ from .ops import (
     transpose,
 )
 from .spgemm import spgemm, spgemm_flops
-from .spmm import spmm
-from .spmv import spmv
+from .spmm import factored_spmm, spmm
+from .spmv import factored_spmv, spmv
 
 __all__ = [
     "CSRMatrix",
@@ -55,6 +55,8 @@ __all__ = [
     "prune_explicit_zeros",
     "spmm",
     "spmv",
+    "factored_spmm",
+    "factored_spmv",
     "spgemm",
     "spgemm_flops",
 ]

@@ -68,8 +68,13 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check every CSR format invariant; raise :class:`SparseFormatError`."""
+    def validate(self, *, canonical: bool = True) -> None:
+        """Check every CSR format invariant; raise :class:`SparseFormatError`.
+
+        ``canonical=False`` checks only what the kernels need to stay in
+        bounds (dtypes, array lengths, row offsets, column range) and
+        accepts unsorted or repeated column indices within a row.
+        """
         nrows, ncols = self.shape
         if nrows < 0 or ncols < 0:
             raise SparseFormatError(f"negative shape {self.shape}")
@@ -100,6 +105,8 @@ class CSRMatrix:
         if self.colinds.size:
             if self.colinds.min() < 0 or self.colinds.max() >= ncols:
                 raise SparseFormatError("column index out of bounds")
+            if not canonical:
+                return
             # strictly increasing columns within each row (canonical form)
             d = np.diff(self.colinds)
             row_starts = self.rowptrs[1:-1]

@@ -11,6 +11,17 @@ B[l, :]`` into the output row.  Every output entry is therefore one
 strictly sequential sum in the row's nonzero order — it depends on that
 row of ``A`` and that column of ``B`` alone, so slicing ``A``'s rows or
 ``B``'s columns never changes a bit of the result.
+
+:func:`factored_spmm` is the product through a factored matrix
+``diag(1/s) B`` (:func:`repro.sparse.factored_selection`): the SpMM runs
+through ``B`` and each output row is divided once by its ``s`` entry.
+
+``csr_matvecs`` lives in scipy's private ``scipy.sparse._sparsetools``
+module.  This module relies on its argument order ``(n_row, n_col,
+n_vecs, Ap, Aj, Ax, Xx, Yx)`` and on it *accumulating* ``Y += A X`` into
+a C-contiguous output, which is therefore zero-filled first.  setup.py
+bounds scipy to the tested releases; ``tests/sparse/test_sequential_kernel.py``
+pins this behaviour when the bound is raised.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from scipy.sparse import _sparsetools
 from ..errors import ShapeError
 from .csr import CSRMatrix
 
-__all__ = ["spmm"]
+__all__ = ["spmm", "factored_spmm"]
 
 
 def spmm(
@@ -71,4 +82,20 @@ def spmm(
     vals = a.values if alpha == 1.0 else a.values * a.dtype.type(alpha)
     rowptrs, colinds = a.kernel_index()
     _sparsetools.csr_matvecs(m, n, p, rowptrs, colinds, vals, bmat, out)
+    return out
+
+
+def factored_spmm(
+    b: CSRMatrix, sizes: np.ndarray | None, x: np.ndarray, *, alpha: float = 1.0
+) -> np.ndarray:
+    """Compute ``alpha * diag(1/sizes) b @ x`` for a factored CSR matrix.
+
+    The SpMM runs through ``b`` and each output row is divided once by
+    its ``sizes`` entry, so the normalisation rounds once per output
+    entry rather than in every term.  ``sizes=None`` means ``b`` is
+    already normalised and the product is plain :func:`spmm`.
+    """
+    out = spmm(b, x, alpha=alpha)
+    if sizes is not None:
+        out /= sizes[:, None]
     return out

@@ -8,6 +8,8 @@ It runs on the same compiled CSR kernel family as
 :func:`repro.sparse.spmm` (scipy's ``csr_matvec``): each output entry is
 one strictly sequential sum of ``(alpha * a_il) * x_l`` in the row's
 nonzero order, bitwise equal to ``spmm(a, x[:, None], alpha=alpha)``.
+:func:`factored_spmv` is the matching product through a factored matrix
+``diag(1/s) B``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .._typing import as_vector
 from ..errors import ShapeError
 from .csr import CSRMatrix
 
-__all__ = ["spmv"]
+__all__ = ["spmv", "factored_spmv"]
 
 
 def spmv(
@@ -66,4 +68,17 @@ def spmv(
         y = np.zeros(m, dtype=a.dtype)
         _sparsetools.csr_matvec(m, n, rowptrs, colinds, vals, xv, y)
         out[...] = y
+    return out
+
+
+def factored_spmv(
+    b: CSRMatrix, sizes: np.ndarray | None, x: np.ndarray, *, alpha: float = 1.0
+) -> np.ndarray:
+    """Compute ``alpha * diag(1/sizes) b @ x``: :func:`spmv` through ``b``,
+    each output entry divided once by its ``sizes`` entry (``None``:
+    ``b`` is already normalised), as in :func:`repro.sparse.factored_spmm`.
+    """
+    out = spmv(b, x, alpha=alpha)
+    if sizes is not None:
+        out /= sizes
     return out

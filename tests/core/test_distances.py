@@ -18,6 +18,7 @@ from repro.core import (
     popcorn_distances_host,
 )
 from repro.errors import ShapeError
+from repro.sparse import selection_matrix, weighted_selection_matrix
 from repro.gpu import Device, A100_80GB, custom
 from repro.kernels import GaussianKernel, LinearKernel, PolynomialKernel, kernel_matrix
 
@@ -73,6 +74,19 @@ class TestHostPipeline:
         got, v = popcorn_distances_host(k_mat, labels, k)
         assert np.allclose(got, ref, atol=1e-7)
         assert v.shape == (k, n)
+
+    def test_returns_selection_matrix(self, rng):
+        n, k = 30, 4
+        k_mat = rng.standard_normal((n, 3)) @ rng.standard_normal((3, n))
+        k_mat = k_mat + k_mat.T
+        labels = random_labels(n, k, rng)
+        w = rng.uniform(0.5, 2.0, n)
+        for weights, ref in (
+            (None, selection_matrix(labels, k, dtype=np.float64)),
+            (w, weighted_selection_matrix(labels, k, w, dtype=np.float64)),
+        ):
+            _, v = popcorn_distances_host(k_mat, labels, k, weights=weights)
+            assert np.array_equal(v.to_dense(), ref.to_dense())
 
     def test_empty_cluster_distance_is_point_norm(self, rng):
         """With C~_j = 0 for an empty cluster, D_ij = K_ii."""

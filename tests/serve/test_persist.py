@@ -247,6 +247,80 @@ class TestSchemaChecking:
         loaded.close()
 
 
+def _online_artifact(tmp_path):
+    """An online-fitted model saved with its explicit support V."""
+    x = make_blobs(60, 4, 3, rng=0)[0].astype(np.float64)
+    est = PopcornKernelKMeans(3, dtype=np.float64, backend="host", seed=0, batch_size=20)
+    est.partial_fit(x)
+    est.partial_fit(x[:20])
+    return est, save_model(est, str(tmp_path / "online.npz"))
+
+
+def _rewrite(path, **changes):
+    with np.load(path) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestSupportSelectionBounds:
+    """The persisted support V is bounds-checked before the compiled
+    SpMM, which does no bounds checking of its own, ever reads it."""
+
+    def test_intact_online_artifact_loads(self, tmp_path):
+        est, path = _online_artifact(tmp_path)
+        q = np.random.default_rng(1).standard_normal((9, 4))
+        assert np.array_equal(load_model(path).predict(q), est.predict(q))
+
+    def test_unsorted_rows_accepted(self, tmp_path):
+        """Mini-batch updates may leave a row's columns unsorted."""
+        _, path = _online_artifact(tmp_path)
+        with np.load(path) as npz:
+            colinds = npz["support_v_colinds"].copy()
+            values = npz["support_v_values"].copy()
+            lo, hi = npz["support_v_rowptrs"][:2]
+        colinds[lo:hi] = colinds[lo:hi][::-1]
+        values[lo:hi] = values[lo:hi][::-1]
+        _rewrite(path, support_v_colinds=colinds, support_v_values=values)
+        assert load_model(path)._support_v.colinds[lo] == colinds[lo]
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["colind_too_large", "colind_negative", "rowptr_past_nnz", "rowptr_decreasing",
+         "rowptr_length", "shape_width", "shape_entries"],
+    )
+    def test_out_of_bounds_support_v_rejected(self, tmp_path, damage):
+        _, path = _online_artifact(tmp_path)
+        with np.load(path) as npz:
+            colinds = npz["support_v_colinds"].copy()
+            rowptrs = npz["support_v_rowptrs"].copy()
+            shape = npz["support_v_shape"].copy()
+        if damage == "colind_too_large":
+            colinds[0] = shape[1]
+            changes = {"support_v_colinds": colinds}
+        elif damage == "colind_negative":
+            colinds[-1] = -1
+            changes = {"support_v_colinds": colinds}
+        elif damage == "rowptr_past_nnz":
+            rowptrs[-1] += 5
+            changes = {"support_v_rowptrs": rowptrs}
+        elif damage == "rowptr_decreasing":
+            rowptrs[1] = rowptrs[2] + 1
+            changes = {"support_v_rowptrs": rowptrs}
+        elif damage == "rowptr_length":
+            changes = {"support_v_rowptrs": rowptrs[:-1]}
+        elif damage == "shape_width":
+            shape[1] += 7
+            changes = {"support_v_shape": shape}
+        else:
+            changes = {"support_v_shape": shape[:1]}
+        _rewrite(path, **changes)
+        with pytest.raises(ConfigError, match="support selection matrix") as info:
+            load_model(path)
+        assert path in str(info.value)
+
+
 class TestClassicalCentersAliasing:
     def test_centers_stored_once_and_realiased(self, tmp_path):
         """Lloyd/Elkan artifacts carry one centers matrix, not two."""

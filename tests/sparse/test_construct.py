@@ -8,6 +8,8 @@ from repro.errors import ShapeError, SparseFormatError
 from repro.sparse import (
     cluster_counts,
     factored_selection,
+    factored_spmm,
+    factored_spmv,
     from_coo,
     from_dense,
     from_scipy,
@@ -15,6 +17,7 @@ from repro.sparse import (
     random_csr,
     selection_matrix,
     spmm,
+    spmv,
     weighted_selection_matrix,
 )
 
@@ -226,6 +229,18 @@ class TestFactoredSelection:
     def test_rejects_bad_weights(self):
         with pytest.raises(ShapeError):
             factored_selection(np.array([0, 1]), 2, weights=np.ones(3))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factored_products_divide_rows_once(self, rng, dtype):
+        labels = rng.integers(0, 4, 25)
+        b, sizes = factored_selection(labels, 4, dtype=dtype)
+        x = rng.standard_normal((25, 6)).astype(dtype)
+        got = factored_spmm(b, sizes, x, alpha=-2.0)
+        assert np.array_equal(got, spmm(b, x, alpha=-2.0) / sizes[:, None])
+        got_v = factored_spmv(b, sizes, x[:, 0], alpha=-0.5)
+        assert np.array_equal(got_v, spmv(b, x[:, 0], alpha=-0.5) / sizes)
+        assert np.array_equal(factored_spmm(b, None, x), spmm(b, x))
+        assert np.array_equal(factored_spmv(b, None, x[:, 0]), spmv(b, x[:, 0]))
 
 
 class TestClusterCounts:
