@@ -15,7 +15,7 @@ Three layers, all stdlib-only:
 See the README "Observability" section for the span/metric naming
 scheme and the Perfetto workflow.
 
-Names are dotted-lowercase, subsystem-first (``serve.async.batches``,
+Names are dotted-lowercase, subsystem-first (``serve.async.worker_predict``,
 ``fit.iter``), and a metric name keeps one kind tree-wide — enforced at
 lint time by rule RPR107.  The thread-safe instruments declare their
 locking contract in class-level ``_guarded_by`` dicts (attr → lock

@@ -27,9 +27,9 @@ Span naming scheme (dotted, subsystem-first)::
     minibatch.cold_start / minibatch.batch / minibatch.assign / minibatch.update
     pool.task
     sharded.step / comm.allreduce / comm.allgather
-    serve.batch / serve.predict / serve.cache_writeback / serve.model_swap
-    serve.async.batch / serve.async.worker_predict / serve.async.enqueue
-    serve.async.shed / serve.async.pool_swap / serve.async.model_swap
+    serve.enqueue / serve.shed / serve.model_swap   (both front doors)
+    serve.batch                                     (thread door)
+    serve.async.batch / serve.async.worker_predict / serve.async.pool_swap
     bench.experiment
 """
 

@@ -20,17 +20,19 @@ Pieces
     treatment for the serving tier) consumed by both services — and
     :class:`ServeResult`, the ``int``-compatible answer type carrying
     label + model version + cache/coalesce provenance + latency.
+:mod:`repro.serve.core`
+    :class:`~repro.serve.core.ServingCore` — the serving policy both
+    front doors share: row check, LRU label cache, coalescing of
+    identical in-flight rows, ``queue_bound`` admission, hot-swap
+    bookkeeping, and one ``stats()`` / ``serve.*`` metric family.
 :mod:`repro.serve.service`
-    :class:`PredictionService` — micro-batching request queue, LRU
-    kernel-row cache, thread-pool workers, optional ``queue_bound``
-    admission control, profiler-recorded batches, and atomic model
-    hot-swap (``swap_model``) with zero dropped in-flight requests.
+    :class:`PredictionService` — the thread door: a micro-batching
+    queue drained by worker threads that predict in-process, plus
+    ``swap_model`` hot swap with zero dropped in-flight requests.
 :mod:`repro.serve.frontdoor`
-    :class:`AsyncPredictionServer` — the asyncio ingress for open-loop
-    traffic: bounded-queue load shedding
-    (:class:`~repro.errors.Overloaded`), digest-level coalescing of
-    identical in-flight queries, backpressure-aware batching, dispatch
-    to shard workers, and artifact hot-swap propagation.  Plus
+    :class:`AsyncPredictionServer` — the asyncio door for open-loop
+    traffic: a loop-confined batcher, a dispatch semaphore, shard
+    workers, and artifact hot-swap propagation.  Plus
     :func:`open_loop_load`, the paced load generator behind the SLO
     curves.
 :mod:`repro.serve.worker`
@@ -78,13 +80,10 @@ npz key           contents
 ``online_counts``  per-cluster accumulated ``partial_fit`` weights
 ================  =====================================================
 
-Micro-batching knobs (:class:`PredictionService`)
--------------------------------------------------
-``batch_size``     max requests fused into one cross-kernel SpMM
-``max_delay_ms``   wait for the batch to fill (latency/throughput knob)
-``n_workers``      worker threads serving batches concurrently
-``cache_size``     LRU entries memoised by query-row digest (0 = off)
-``chunk_rows``     row-chunk bound on the live cross-kernel panel
+Serving knobs
+-------------
+Both doors take one :class:`ServeConfig`; its docstring lists every knob
+(batch window, queue bound, workers, cache, chunk schedule, devices).
 
 Lock discipline (``_guarded_by``)
 ---------------------------------

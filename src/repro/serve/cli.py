@@ -45,6 +45,7 @@ profiler lanes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -57,6 +58,7 @@ from ..data import load_dataset, make_random
 from ..errors import ReproError
 from ..estimators import filter_params, make_estimator
 from ..reporting import format_table
+from .config import ServeConfig
 from .persist import inspect_model, load_model, save_model
 from .refresh import ModelRefresher
 from .service import PredictionService
@@ -92,6 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--chunk-cols", dest="chunk_cols", type=int, default=None, metavar="C")
         sp.add_argument("--n-threads", dest="n_threads", type=int, default=None, metavar="T")
 
+    def add_serve_flags(sp, batch_size, max_delay_ms, workers, cache_size, devices=None):
+        # the ServeConfig knobs (see _serve_config), with this subcommand's defaults
+        sp.add_argument("--batch-size", type=int, default=batch_size)
+        sp.add_argument("--max-delay-ms", type=float, default=max_delay_ms)
+        sp.add_argument("--workers", type=int, default=workers)
+        sp.add_argument("--cache-size", type=int, default=cache_size)
+        if devices is not None:
+            sp.add_argument("--devices", type=int, default=None, metavar="G", help=devices)
+
     def add_trace_flag(sp):
         sp.add_argument(
             "--trace-out", dest="trace_out", default=None, metavar="FILE",
@@ -122,20 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     load_p = sub.add_parser("load", help="print an artifact's metadata")
     load_p.add_argument("model", help="artifact path")
 
+    shard_help = "shard each served batch across G simulated devices"
     pred_p = sub.add_parser("predict", help="one-shot prediction over a query file")
     pred_p.add_argument("model", help="artifact path")
     pred_p.add_argument("--input", required=True,
                         help="query file (CSV, libsvm, or .jsonl)")
     pred_p.add_argument("--output", default=None, help="write labels here (default: stdout)")
-    pred_p.add_argument("--batch-size", type=int, default=64)
-    pred_p.add_argument("--max-delay-ms", type=float, default=1.0)
-    pred_p.add_argument("--workers", type=int, default=1)
-    pred_p.add_argument("--cache-size", type=int, default=1024)
+    add_serve_flags(pred_p, 64, 1.0, 1, 1024, devices=shard_help)
     add_reduction_flags(pred_p)
-    pred_p.add_argument(
-        "--devices", type=int, default=None, metavar="G",
-        help="shard each served batch across G simulated devices",
-    )
     pred_p.add_argument("--stats", action="store_true", help="print serving stats")
     pred_p.add_argument(
         "--json", action="store_true",
@@ -145,15 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser("serve", help="stdin-JSONL serving loop")
     serve_p.add_argument("model", help="artifact path")
-    serve_p.add_argument("--batch-size", type=int, default=64)
-    serve_p.add_argument("--max-delay-ms", type=float, default=2.0)
-    serve_p.add_argument("--workers", type=int, default=2)
-    serve_p.add_argument("--cache-size", type=int, default=4096)
+    add_serve_flags(serve_p, 64, 2.0, 2, 4096, devices=shard_help)
     add_reduction_flags(serve_p)
-    serve_p.add_argument(
-        "--devices", type=int, default=None, metavar="G",
-        help="shard each served batch across G simulated devices",
-    )
     add_trace_flag(serve_p)
 
     stats_p = sub.add_parser(
@@ -169,10 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", type=int, default=256, metavar="N",
         help="synthetic query count when --input is not given",
     )
-    stats_p.add_argument("--batch-size", type=int, default=64)
-    stats_p.add_argument("--max-delay-ms", type=float, default=1.0)
-    stats_p.add_argument("--workers", type=int, default=1)
-    stats_p.add_argument("--cache-size", type=int, default=1024)
+    add_serve_flags(stats_p, 64, 1.0, 1, 1024)
     stats_p.add_argument("-s", dest="seed", type=int, default=0, help="RNG seed")
     stats_p.add_argument(
         "--format", dest="format", default="table",
@@ -218,16 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", default=None,
         help="query file (CSV, libsvm, or .jsonl); default: synthetic queries",
     )
-    load_gen.add_argument("--batch-size", type=int, default=32)
-    load_gen.add_argument("--max-delay-ms", type=float, default=2.0)
-    load_gen.add_argument("--workers", type=int, default=2)
+    add_serve_flags(load_gen, 32, 2.0, 2, 0,
+                    devices="shard each worker's batches across G simulated devices")
     load_gen.add_argument("--queue-bound", type=int, default=None, metavar="B",
                           help="admission-control bound (default: admit everything)")
-    load_gen.add_argument("--cache-size", type=int, default=0)
-    load_gen.add_argument(
-        "--devices", type=int, default=None, metavar="G",
-        help="shard each worker's batches across G simulated devices",
-    )
     load_gen.add_argument(
         "--inline", action="store_true",
         help="serve with inline workers instead of worker processes",
@@ -240,32 +229,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# tracing plumbing shared by predict / serve / stats
+# the thread door behind predict / serve / stats
 # ----------------------------------------------------------------------
 
-def _trace_begin(args) -> int:
-    """Enable the tracer when --trace-out is set; returns the span mark."""
-    if getattr(args, "trace_out", None):
-        from ..obs import trace
+def _serve_config(args) -> ServeConfig:
+    """The serving config a subcommand's flags spell out (``--workers``
+    sets ``n_workers``); a knob it has no flag for keeps its default."""
+    given = {"n_workers" if k == "workers" else k: v for k, v in vars(args).items()}
+    return ServeConfig(**{k: given[k] for k in ServeConfig.param_names() if k in given})
 
+
+@contextlib.contextmanager
+def _serving(args, model):
+    """A :class:`PredictionService` over ``model``, configured by the
+    subcommand's flags.  With ``--trace-out`` the session is traced, and
+    the combined request-lifecycle + profiler-lane trace is written
+    before the service closes."""
+    from ..obs import trace
+    from ..obs.export import write_combined_trace
+
+    if args.trace_out:
         trace.enable()
-        return trace.mark()
-    return 0
-
-
-def _trace_finish(args, mark: int, svc) -> None:
-    """Write the combined request-lifecycle + profiler-lane trace."""
-    if getattr(args, "trace_out", None):
-        from ..obs import trace
-        from ..obs.export import write_combined_trace
-
-        write_combined_trace(
-            args.trace_out,
-            tracer=trace,
-            since=mark,
-            profilers={"serve-profiler": svc.profiler_},
-        )
-        print(f"combined trace written to {args.trace_out}", file=sys.stderr)
+    mark = trace.mark()
+    with PredictionService(model, _serve_config(args)) as svc:
+        yield svc
+        if args.trace_out:
+            write_combined_trace(
+                args.trace_out,
+                tracer=trace,
+                since=mark,
+                profilers={"serve-profiler": svc.profiler_},
+            )
+            print(f"combined trace written to {args.trace_out}", file=sys.stderr)
 
 
 # ----------------------------------------------------------------------
@@ -367,22 +362,10 @@ def _read_queries(path: str) -> np.ndarray:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     queries = _read_queries(args.input)
-    mark = _trace_begin(args)
-    with PredictionService(
-        model,
-        batch_size=args.batch_size,
-        max_delay_ms=args.max_delay_ms,
-        n_workers=args.workers,
-        cache_size=args.cache_size,
-        chunk_rows=args.chunk_rows,
-        chunk_cols=args.chunk_cols,
-        n_threads=args.n_threads,
-        devices=args.devices,
-    ) as svc:
+    with _serving(args, model) as svc:
         results = svc.predict_many(queries, details=True)
         labels = np.array([int(r) for r in results], dtype=np.int32)
         stats = svc.stats()
-        _trace_finish(args, mark, svc)
     if args.output:
         np.savetxt(args.output, labels, fmt="%d")
         print(f"{labels.shape[0]} labels written to {args.output}")
@@ -393,15 +376,15 @@ def _cmd_predict(args) -> int:
         for lab in labels:
             print(int(lab))
     if args.stats:
-        print(
-            format_table(
-                ["stat", "value"],
-                [(k, f"{v:.4g}" if isinstance(v, float) else v)
-                 for k, v in stats.items()],
-            ),
-            file=sys.stderr,
-        )
+        print(_stats_table(stats), file=sys.stderr)
     return 0
+
+
+def _stats_table(stats) -> str:
+    return format_table(
+        ["stat", "value"],
+        [(k, f"{v:.4g}" if isinstance(v, float) else v) for k, v in stats.items()],
+    )
 
 
 def _jsonl_query(line: str):
@@ -416,18 +399,7 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     model = load_model(args.model)
-    mark = _trace_begin(args)
-    with PredictionService(
-        model,
-        batch_size=args.batch_size,
-        max_delay_ms=args.max_delay_ms,
-        n_workers=args.workers,
-        cache_size=args.cache_size,
-        chunk_rows=args.chunk_rows,
-        chunk_cols=args.chunk_cols,
-        n_threads=args.n_threads,
-        devices=args.devices,
-    ) as svc:
+    with _serving(args, model) as svc:
         pending = []
         for lineno, line in enumerate(stdin, 1):
             line = line.strip()
@@ -435,28 +407,28 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
                 continue
             try:
                 qid, row = _jsonl_query(line)
-            except (ValueError, KeyError, TypeError) as exc:
+                pending.append((qid if qid is not None else lineno, svc.submit(row)))
+            except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError
                 print(json.dumps({"line": lineno, "error": str(exc)}), file=sys.stderr)
                 continue
-            pending.append((qid if qid is not None else lineno, svc.submit(row)))
             # keep the output stream flowing without blocking the reader
             while pending and pending[0][1].done():
                 _flush_one(pending.pop(0), stdout)
         for item in pending:
             _flush_one(item, stdout)
         stats = svc.stats()
-        _trace_finish(args, mark, svc)
     print(json.dumps({"stats": stats}), file=sys.stderr)
     return 0
 
 
-def _stats_queries(args, model) -> np.ndarray:
-    """The stats workload: a query file, or synthetic rows shaped like
-    the model's support set (repeated so the cache-hit path exercises)."""
+def _stats_queries(model, path: Optional[str], n: int, seed: int) -> np.ndarray:
+    """A query workload: the ``path`` file, or ``n`` synthetic rows shaped
+    like the model's support set (repeated so the cache-hit path
+    exercises)."""
     from ..errors import ConfigError
 
-    if args.input:
-        return _read_queries(args.input)
+    if path:
+        return _read_queries(path)
     sup = getattr(model, "_support_x", None)
     centers = getattr(model, "_support_centers", None)
     if sup is not None:
@@ -468,8 +440,8 @@ def _stats_queries(args, model) -> np.ndarray:
             "this artifact was fitted on a precomputed kernel; synthetic "
             "queries cannot be generated — pass --input with a query file"
         )
-    n = max(int(args.queries), 1)
-    rng = np.random.default_rng(args.seed)
+    n = max(int(n), 1)
+    rng = np.random.default_rng(seed)
     # half unique, half repeats: the repeated rows exercise the digest
     # cache so hit-rate stats are non-trivial
     uniq = rng.standard_normal((max(n // 2, 1), d))
@@ -479,31 +451,17 @@ def _stats_queries(args, model) -> np.ndarray:
 
 def _cmd_stats(args) -> int:
     model = load_model(args.model)
-    queries = _stats_queries(args, model)
-    mark = _trace_begin(args)
-    with PredictionService(
-        model,
-        batch_size=args.batch_size,
-        max_delay_ms=args.max_delay_ms,
-        n_workers=args.workers,
-        cache_size=args.cache_size,
-    ) as svc:
+    queries = _stats_queries(model, args.input, args.queries, args.seed)
+    with _serving(args, model) as svc:
         svc.predict_many(queries)
         stats = svc.stats()
         prom = svc.stats(format="prom")
-        _trace_finish(args, mark, svc)
     if args.format == "prom":
         print(prom, end="")
     elif args.format == "json":
         print(json.dumps(stats, indent=2))
     else:
-        print(
-            format_table(
-                ["stat", "value"],
-                [(k, f"{v:.4g}" if isinstance(v, float) else v)
-                 for k, v in stats.items()],
-            )
-        )
+        print(_stats_table(stats))
     return 0
 
 
@@ -531,17 +489,9 @@ def _cmd_refresh(args) -> int:
 
 
 def _flush_one(item, stdout) -> None:
-    from .config import ServeResult
-
     qid, future = item
     try:
-        result = future.result()
-        payload = {"id": qid}
-        if isinstance(result, ServeResult):
-            payload.update(result.to_dict())
-        else:
-            payload["label"] = int(result)
-        stdout.write(json.dumps(payload) + "\n")
+        stdout.write(json.dumps({"id": qid, **future.result().to_dict()}) + "\n")
     except Exception as exc:  # a failed request must not kill the loop
         stdout.write(json.dumps({"id": qid, "error": str(exc)}) + "\n")
     stdout.flush()
@@ -551,29 +501,17 @@ def _cmd_loadgen(args) -> int:
     import asyncio
 
     from .autoscale import curve_for_model
-    from .config import ServeConfig
     from .frontdoor import AsyncPredictionServer, open_loop_load
 
     model = load_model(args.model)
-    if args.input:
-        queries = _read_queries(args.input)
-    else:
-        base = argparse.Namespace(input=None, queries=args.requests, seed=args.seed)
-        queries = _stats_queries(base, model)
+    queries = _stats_queries(model, args.input, args.requests, args.seed)
     try:
         qps_points = [float(tok) for tok in args.qps.split(",") if tok.strip()]
     except ValueError:
         from ..errors import ConfigError
 
         raise ConfigError(f"--qps takes comma-separated numbers, got {args.qps!r}")
-    cfg = ServeConfig(
-        batch_size=args.batch_size,
-        max_delay_ms=args.max_delay_ms,
-        n_workers=args.workers,
-        queue_bound=args.queue_bound,
-        cache_size=args.cache_size,
-        devices=args.devices,
-    )
+    cfg = _serve_config(args)
 
     async def _drive() -> list:
         reports = []

@@ -1,20 +1,16 @@
-"""The unified serving configuration and result types.
+"""The serving configuration and result types.
 
-Before this module, :class:`~repro.serve.service.PredictionService` hand
-rolled a nine-keyword constructor with an ``if``-chain validator, and the
-async front door would have needed a second copy.  :class:`ServeConfig`
-gives the serving tier the estimator treatment instead: every knob is a
-declarative :class:`~repro.params.ParamSpec` (bounds, conversion), and
-the whole ``get_params`` / ``set_params`` / ``clone`` / non-default-``repr``
-surface comes from :class:`~repro.params.ParamsProtocol` — so a serving
-deployment is introspected, copied, and logged exactly like an estimator.
+:class:`ServeConfig` gives the serving tier the estimator treatment:
+every knob is a declarative :class:`~repro.params.ParamSpec` (bounds,
+conversion), and the ``get_params`` / ``set_params`` / ``clone`` /
+non-default-``repr`` surface comes from
+:class:`~repro.params.ParamsProtocol`, so a serving deployment is
+introspected, copied and logged exactly like an estimator.
 
 :class:`ServeResult` is the matching response type: the label plus its
 serving metadata (model version, cache/coalesce provenance, latency).
-It subclasses :class:`int`, so every pre-existing caller that compared,
-indexed, or arithmetic'd the bare label keeps working unchanged — the
-deprecation shim for the old ``submit``/``predict`` return contract is
-the type itself.
+It subclasses :class:`int`, so a caller that compares, indexes or does
+arithmetic with the bare label keeps working.
 """
 
 from __future__ import annotations
@@ -146,7 +142,7 @@ class ServeResult(int):
         True when the answer came from the LRU digest cache.
     coalesced:
         True when this request was deduplicated onto another identical
-        in-flight query (async front door only).
+        in-flight query (either front door).
     latency_s:
         Enqueue-to-answer wall-clock seconds for this request.
     """

@@ -1,19 +1,10 @@
-"""Asyncio serving front door: admission control, coalescing, shard fan-out.
+"""The asyncio front door: loop-confined batching and shard fan-out.
 
-:class:`AsyncPredictionServer` is the ingress of the serving tier — the
-piece that takes an *open-loop* request stream (arrivals do not wait for
-departures, the traffic shape of "millions of users") and composes the
-subsystems built underneath it:
+:class:`AsyncPredictionServer` takes an *open-loop* request stream
+(arrivals do not wait for departures) and runs the serving policy of
+:class:`~repro.serve.core.ServingCore` — cache, coalescing, admission,
+swap bookkeeping, stats — over its own transport:
 
-* **admission control** — a bounded ingress queue; a request arriving
-  while ``queue_bound`` are already pending is shed immediately with
-  :class:`~repro.errors.Overloaded`, so accepted traffic keeps its
-  latency instead of everyone queueing to death;
-* **cross-request coalescing** — identical in-flight queries (same row
-  digest) are deduplicated at the door: duplicates attach to the
-  original's pending entry, never occupy a queue slot, and are answered
-  by the same backend row — under duplicate-heavy load the backend sees
-  only the unique rows;
 * **backpressure-aware micro-batching** — one batcher task drains the
   queue into batches of up to ``batch_size`` (waiting ``max_delay_ms``
   for the batch to fill), and a dispatch semaphore sized to the worker
@@ -21,27 +12,20 @@ subsystems built underneath it:
 * **shard worker fan-out** — batches are served by a
   :class:`~repro.serve.worker.ShardWorkerPool` of model replicas
   (worker processes loaded from a versioned artifact, or inline
-  replicas), each optionally sharding its rows across simulated devices
-  (``devices=``, the :class:`~repro.engine.sharded.ShardedBackend`
-  serving face);
-* **hot swap** — :meth:`swap_artifact` propagates a new artifact
-  version to every replica behind a full-pool barrier
-  (:class:`~repro.serve.ModelRefresher` publishes straight into it);
-  in-flight batches finish on the version they started with, and the
-  label cache write-back is version-guarded exactly like the
-  thread-pool service's.
+  replicas), each optionally sharding its rows across simulated devices;
+* **hot swap** — :meth:`~AsyncPredictionServer.swap_artifact`
+  propagates a new artifact to every replica behind a full-pool barrier,
+  so in-flight batches finish on the version they started with.
 
-Everything is observable through :mod:`repro.obs` (``serve.async.*``
-spans, shed/coalesce counters, queue-depth high-water gauge) and
-:meth:`stats` — which, after a drain, satisfies the accounting
-invariant ``requests == served + shed + errors``.
+Batches are traced as ``serve.async.batch`` spans and the worker hop as
+``serve.async.worker_predict``.
 
 Determinism note: asyncio is single-threaded, so a *synchronous* burst
-of :meth:`submit_nowait` calls enqueues every request before the
-batcher task runs once.  Shed counts (``N - queue_bound``) and
-coalescing counts (backend rows == unique digests) are therefore exact,
-not timing-dependent — the property the ``ext_async_serving`` bench
-experiment's blocking metrics rest on.
+of :meth:`~AsyncPredictionServer.submit_nowait` calls enqueues every
+request before the batcher task runs once.  Shed counts
+(``N - queue_bound``) and coalescing counts (backend rows == unique
+digests) are therefore exact, not timing-dependent — the property the
+``ext_async_serving`` bench experiment's blocking metrics rest on.
 
 :func:`open_loop_load` is the matching load generator: paced arrivals
 at a target offered qps, returning a :class:`LoadReport` of shed rate
@@ -53,38 +37,22 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import ConfigError, Overloaded
-from ..gpu.launch import Launch
 from ..gpu.profiler import Profiler
-from ..obs import metrics, trace
-from ..obs.export import stats_to_prometheus
+from ..obs import trace
 from .config import ServeConfig, ServeResult
-from .service import PredictionService
-from .worker import ShardWorkerPool
+from .core import Pending, ServingCore, percentile
+from .worker import ShardWorkerPool, load_replica
 
 __all__ = ["AsyncPredictionServer", "LoadReport", "open_loop_load"]
 
 #: queue sentinel ending the batcher task
 _CLOSE = object()
-
-
-class _Pending:
-    """One unique in-flight query row and everyone waiting on it."""
-
-    __slots__ = ("row", "key", "waiters")
-
-    def __init__(self, row: np.ndarray, key: str) -> None:
-        self.row = row
-        self.key = key
-        #: (future, t_enqueue) pairs; index 0 is the request that
-        #: entered the queue, the rest coalesced onto it
-        self.waiters: List[Tuple[asyncio.Future, float]] = []
 
 
 class AsyncPredictionServer:
@@ -111,42 +79,21 @@ class AsyncPredictionServer:
 
         async with AsyncPredictionServer("model.npz", n_workers=4,
                                          queue_bound=256) as server:
-            fut = server.submit_nowait(row)     # may raise Overloaded
+            fut = server.submit_nowait(row)     # Overloaded when shed
             result = await fut                   # ServeResult
 
     The server must be started inside a running event loop (``async
     with`` or ``await server.start()``).
     """
 
-    # Lock-discipline declaration (repro-lint rule RPR106): this class
-    # has no locks — its shared state is confined to the event loop.
-    # "event-loop" guards mean: in-place mutation only from loop-side
-    # code; methods listed in _off_loop_methods run on foreign threads
-    # and may only *rebind* these attributes atomically (swap_artifact
-    # publishes a fresh cache/version that way).  ``_n_swaps`` is
-    # deliberately undeclared: the swap path owns it off-loop, serialized
-    # by the worker pool's swap barrier.
+    # Lock-discipline declaration (repro-lint RPR106): the door's own
+    # state is confined to the event loop; swap_artifact runs on foreign
+    # threads and touches only the pool (itself thread-safe) and the
+    # core, whose state sits behind the core's lock.
     _guarded_by = {
-        "_inflight": "event-loop",
-        "_cache": "event-loop",
-        "_latencies": "event-loop",
-        "_batch_sizes": "event-loop",
-        "_n_requests": "event-loop",
-        "_n_served": "event-loop",
-        "_n_shed": "event-loop",
-        "_n_coalesced": "event-loop",
-        "_n_cache_hits": "event-loop",
-        "_n_errors": "event-loop",
-        "_n_cancelled": "event-loop",
-        "_n_batches": "event-loop",
-        "_n_backend_rows": "event-loop",
-        "_queue_peak": "event-loop",
-        "_t_first": "event-loop",
-        "_t_last": "event-loop",
         "_started": "event-loop",
         "_closed": "event-loop",
         "_pool": "event-loop",
-        "_model_version": "event-loop",
     }
     _off_loop_methods = ("swap_artifact",)
 
@@ -167,46 +114,17 @@ class AsyncPredictionServer:
             processes = isinstance(source, str)
         self.processes = bool(processes)
         self._start_method = start_method
-        self.model = self._load_source(source)
-        if not hasattr(self.model, "predict"):
-            raise ConfigError("model must expose the engine predict contract")
-        if not hasattr(self.model, "labels_"):
-            raise ConfigError("model is not fitted; fit (or load) it before serving")
         self.profiler_ = profiler if profiler is not None else Profiler()
-
+        self._core = ServingCore(load_replica(source), cfg, self.profiler_)
         self._pool: Optional[ShardWorkerPool] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = False
         self._closed = False
-        self._model_version = 1
-        self._n_swaps = 0
 
-        # lifetime counters (single-threaded on the loop, no lock needed;
-        # swap_artifact's cross-thread writes are single atomic rebinds)
-        self._n_requests = 0
-        self._n_served = 0
-        self._n_shed = 0
-        self._n_coalesced = 0
-        self._n_cache_hits = 0
-        self._n_errors = 0
-        self._n_cancelled = 0
-        self._n_batches = 0
-        self._n_backend_rows = 0
-        self._queue_peak = 0
-        self._batch_sizes: deque = deque(maxlen=cfg.latency_window)
-        self._latencies: deque = deque(maxlen=cfg.latency_window)
-        self._t_first: Optional[float] = None
-        self._t_last: Optional[float] = None
-        self._cache: "OrderedDict[str, int]" = OrderedDict()
-        self._inflight: Dict[str, _Pending] = {}
-
-    @staticmethod
-    def _load_source(source):
-        if isinstance(source, str):
-            from .persist import load_model
-
-            return load_model(source)
-        return source
+    @property
+    def model(self):
+        """The model currently served (replaced by :meth:`swap_artifact`)."""
+        return self._core.model
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -249,9 +167,9 @@ class AsyncPredictionServer:
         """Stop the server; every outstanding Future resolves.
 
         ``drain=True`` serves everything already admitted first;
-        ``drain=False`` cancels queued (not yet dispatched) requests
-        immediately.  Dispatched batches always finish, and the worker
-        pool is torn down last.
+        ``drain=False`` cancels queued (not yet dispatched) requests.
+        Dispatched batches always finish, and the worker pool is torn
+        down last.
         """
         if not self._started or self._closed:
             self._closed = True
@@ -261,110 +179,35 @@ class AsyncPredictionServer:
             return
         self._closed = True
         if not drain:
-            pending: List[_Pending] = []
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is not _CLOSE:
-                    pending.append(item)
-            self._cancel_pending(pending)
+            while not self._queue.empty():
+                self._queue.get_nowait()
         self._queue.put_nowait(_CLOSE)
         await self._batcher
         if self._dispatch_tasks:
             await asyncio.gather(*list(self._dispatch_tasks), return_exceptions=True)
-        # backstop: only a dead worker path can leave in-flight entries now
-        self._cancel_pending(list(self._inflight.values()))
+        # nothing serves any more: cancel what is left in flight (the
+        # queue cut loose above, or rows a failed dispatch abandoned)
+        self._core.cancel()
         pool, self._pool = self._pool, None
         if pool is not None:
             await self._loop.run_in_executor(None, pool.close)
-
-    def _cancel_pending(self, pending: List[_Pending]) -> None:
-        for p in pending:
-            self._inflight.pop(p.key, None)
-            for fut, _ in p.waiters:
-                if not fut.done():
-                    fut.cancel()
-                    self._n_cancelled += 1
 
     # ------------------------------------------------------------------
     # ingress
     # ------------------------------------------------------------------
     def submit_nowait(self, query) -> asyncio.Future:
-        """Admit one query row (or shed it); returns a Future resolving
-        to a :class:`~repro.serve.ServeResult`.
-
-        Synchronous and non-blocking — the open-loop entry point.  Order
-        of checks: the LRU cache answers instantly, an identical
-        in-flight query coalesces (no queue slot consumed), then
-        admission control sheds with :class:`~repro.errors.Overloaded`
-        when ``queue_bound`` pending requests already wait.
-        """
+        """Admit one query row (:meth:`ServingCore.admit
+        <repro.serve.core.ServingCore.admit>` says how); the Future
+        resolves to a :class:`~repro.serve.ServeResult`.  Synchronous
+        and non-blocking: the open-loop entry point."""
         if not self._started:
             raise ConfigError("server is not started; use 'async with' or await start()")
         if self._closed:
             raise ConfigError("server is closed")
-        row = np.ascontiguousarray(np.asarray(query, dtype=np.float64))
-        if row.ndim != 1:
-            raise ConfigError(f"submit takes one 1-D query row, got shape {row.shape}")
-        t0 = time.perf_counter()
-        instrumented = trace.enabled
-        self._n_requests += 1
-        if self._t_first is None:
-            self._t_first = t0
-        if instrumented:
-            metrics.counter("serve.async.requests").inc()
-        key = PredictionService._digest(row)
-        cache = self._cache
-        if self.config.cache_size and key in cache:
-            cache.move_to_end(key)
-            self._n_cache_hits += 1
-            self._n_served += 1
-            now = time.perf_counter()
-            self._latencies.append(now - t0)
-            self._t_last = now
-            if instrumented:
-                metrics.counter("serve.async.cache_hits").inc()
-            fut = self._loop.create_future()
-            fut.set_result(
-                ServeResult(
-                    cache[key],
-                    model_version=self._model_version,
-                    cache_hit=True,
-                    latency_s=now - t0,
-                )
-            )
-            return fut
-        pending = self._inflight.get(key)
+        row, key = self._core.check(query)
+        fut, pending = self._core.admit(row, key, self._queue.qsize(), self._loop.create_future)
         if pending is not None:
-            # identical query already on its way to the backend: ride along
-            self._n_coalesced += 1
-            if instrumented:
-                metrics.counter("serve.async.coalesced").inc()
-            fut = self._loop.create_future()
-            pending.waiters.append((fut, t0))
-            return fut
-        bound = self.config.queue_bound
-        if bound is not None and self._queue.qsize() >= bound:
-            self._n_shed += 1
-            if instrumented:
-                metrics.counter("serve.async.shed").inc()
-                trace.instant("serve.async.shed", queued=self._queue.qsize())
-            raise Overloaded(
-                f"ingress queue is full ({bound} pending requests); shed"
-            )
-        p = _Pending(row, key)
-        fut = self._loop.create_future()
-        p.waiters.append((fut, t0))
-        self._inflight[key] = p
-        self._queue.put_nowait(p)
-        depth = self._queue.qsize()
-        if depth > self._queue_peak:
-            self._queue_peak = depth
-        if instrumented:
-            metrics.gauge("serve.async.queue_depth").max(depth)
-            trace.instant("serve.async.enqueue", queued=depth)
+            self._queue.put_nowait(pending)
         return fut
 
     async def submit(self, query) -> ServeResult:
@@ -433,7 +276,7 @@ class AsyncPredictionServer:
         self._dispatch_tasks.discard(task)
         self._dispatch_sem.release()
 
-    async def _dispatch_batch(self, batch: List[_Pending]) -> None:
+    async def _dispatch_batch(self, batch: List[Pending]) -> None:
         rows = np.stack([p.row for p in batch])
         t0 = time.perf_counter()
         try:
@@ -443,73 +286,14 @@ class AsyncPredictionServer:
                 )
         except Exception as exc:
             if len(batch) > 1:
-                # same isolation contract as the thread service: retry each
-                # unique row alone so one bad request cannot poison batch-mates
+                # retry each unique row alone so one bad request cannot
+                # poison its batch-mates
                 for p in batch:
                     await self._dispatch_batch([p])
                 return
-            self._fail_pending(batch[0], exc)
+            self._core.fail(batch[0], exc)
             return
-        t1 = time.perf_counter()
-        self.profiler_.record(
-            Launch(
-                "serve.async.predict_batch",
-                flops=0.0,
-                bytes=float(rows.nbytes),
-                time_s=t1 - t0,
-                phase="serve",
-                meta={
-                    "batch": len(batch),
-                    "coalesced": sum(len(p.waiters) - 1 for p in batch),
-                },
-            )
-        )
-        self._n_batches += 1
-        self._n_backend_rows += len(batch)
-        self._batch_sizes.append(len(batch))
-        self._t_last = t1
-        instrumented = trace.enabled
-        if instrumented:
-            metrics.counter("serve.async.batches").inc()
-        # a batch that raced a swap still answers (labels are consistent
-        # with the replica it ran on) but must not seed the new version's
-        # cache with stale results
-        cache_ok = bool(self.config.cache_size) and version == self._model_version
-        cache = self._cache
-        hist = metrics.histogram("serve.async.latency_s") if instrumented else None
-        for p, label in zip(batch, labels):
-            self._inflight.pop(p.key, None)
-            label = int(label)
-            if cache_ok:
-                cache[p.key] = label
-                cache.move_to_end(p.key)
-                while len(cache) > self.config.cache_size:
-                    cache.popitem(last=False)
-            for i, (fut, t_enq) in enumerate(p.waiters):
-                lat = t1 - t_enq
-                self._latencies.append(lat)
-                self._n_served += 1
-                if hist is not None:
-                    hist.observe(lat)
-                if not fut.done():
-                    fut.set_result(
-                        ServeResult(
-                            label,
-                            model_version=version,
-                            coalesced=(i > 0),
-                            latency_s=lat,
-                        )
-                    )
-
-    def _fail_pending(self, p: _Pending, exc: Exception) -> None:
-        self._inflight.pop(p.key, None)
-        self._n_errors += len(p.waiters)
-        self._t_last = time.perf_counter()
-        if trace.enabled:
-            metrics.counter("serve.async.errors").inc(len(p.waiters))
-        for fut, _ in p.waiters:
-            if not fut.done():
-                fut.set_exception(exc)
+        self._core.answer(batch, labels, version, t0)
 
     # ------------------------------------------------------------------
     # hot swap
@@ -525,71 +309,17 @@ class AsyncPredictionServer:
         if self._pool is None:
             raise ConfigError("server is not started")
         version = self._pool.swap(artifact)
-        self.model = self._load_source(artifact)
-        self._model_version = version
-        self._n_swaps += 1
-        self._cache = OrderedDict()  # atomic rebind: old cache dies with its version
-        if trace.enabled:
-            trace.instant("serve.async.model_swap", version=version)
-            metrics.counter("serve.async.model_swaps").inc()
-        return version
+        return self._core.swap(load_replica(artifact), version)
 
     async def aswap_artifact(self, artifact: str) -> int:
         """:meth:`swap_artifact` without blocking the event loop."""
         return await self._loop.run_in_executor(None, self.swap_artifact, artifact)
 
-    # ------------------------------------------------------------------
-    # stats
-    # ------------------------------------------------------------------
     def stats(self, *, format: str = "dict"):
-        """Serving counters; superset of ``PredictionService.stats()``.
-
-        Adds the front-door accounting: ``shed`` / ``coalesced`` /
-        ``errors`` / ``cancelled``, the backend-side ``backend_rows``
-        (unique rows actually predicted — ``requests - shed - errors -
-        cancelled - backend_rows`` duplicates and cache hits never
-        reached a worker), ``queue_peak``, ``p99``, and ``workers``.
-        After a drained close, ``requests == served + shed + errors +
-        cancelled``.
-        """
-        if format not in ("dict", "prom"):
-            raise ConfigError(f"format must be 'dict' or 'prom', got {format!r}")
-        lat = list(self._latencies)
-        sizes = list(self._batch_sizes)
-        n_req = self._n_requests
-        served = self._n_served
-        span = (
-            (self._t_last - self._t_first)
-            if (self._t_first is not None and self._t_last is not None)
-            else 0.0
-        )
-        pct = PredictionService._percentile
-        out = {
-            "requests": n_req,
-            "served": served,
-            "shed": self._n_shed,
-            "coalesced": self._n_coalesced,
-            "cache_hits": self._n_cache_hits,
-            "cache_hit_rate": self._n_cache_hits / n_req if n_req else 0.0,
-            "errors": self._n_errors,
-            "cancelled": self._n_cancelled,
-            "batches": self._n_batches,
-            "backend_rows": self._n_backend_rows,
-            "mean_batch_size": float(np.mean(sizes)) if sizes else 0.0,
-            "queue_peak": self._queue_peak,
-            "latency_mean_ms": float(np.mean(lat)) * 1e3 if lat else 0.0,
-            "latency_p50_ms": pct(lat, 50) * 1e3,
-            "latency_p95_ms": pct(lat, 95) * 1e3,
-            "latency_p99_ms": pct(lat, 99) * 1e3,
-            "latency_max_ms": float(np.max(lat)) * 1e3 if lat else 0.0,
-            "queries_per_s": served / span if span > 0 else 0.0,
-            "model_version": self._model_version,
-            "model_swaps": self._n_swaps,
-            "workers": self.config.n_workers,
-        }
-        if format == "prom":
-            return stats_to_prometheus(out)
-        return out
+        """Serving counters (see :meth:`ServingCore.stats
+        <repro.serve.core.ServingCore.stats>`), the same keys as
+        :meth:`PredictionService.stats`."""
+        return self._core.stats(format=format)
 
 
 # ----------------------------------------------------------------------
@@ -614,20 +344,7 @@ class LoadReport:
     max_ms: float
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "offered_qps": self.offered_qps,
-            "requests": self.requests,
-            "accepted": self.accepted,
-            "shed": self.shed,
-            "errors": self.errors,
-            "duration_s": self.duration_s,
-            "achieved_qps": self.achieved_qps,
-            "shed_rate": self.shed_rate,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
-        }
+        return asdict(self)
 
 
 async def open_loop_load(
@@ -671,7 +388,6 @@ async def open_loop_load(
     ok = [r for r in results if isinstance(r, ServeResult)]
     errors = len(results) - len(ok)
     lats = [r.latency_s for r in ok]
-    pct = PredictionService._percentile
     total = q.shape[0]
     return LoadReport(
         offered_qps=float(qps),
@@ -682,8 +398,8 @@ async def open_loop_load(
         duration_s=duration,
         achieved_qps=len(ok) / duration if duration > 0 else 0.0,
         shed_rate=shed / total if total else 0.0,
-        p50_ms=pct(lats, 50) * 1e3,
-        p95_ms=pct(lats, 95) * 1e3,
-        p99_ms=pct(lats, 99) * 1e3,
+        p50_ms=percentile(lats, 50) * 1e3,
+        p95_ms=percentile(lats, 95) * 1e3,
+        p99_ms=percentile(lats, 99) * 1e3,
         max_ms=max(lats) * 1e3 if lats else 0.0,
     )

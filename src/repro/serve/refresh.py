@@ -33,6 +33,7 @@ from typing import List, Optional
 
 from ..errors import ConfigError
 from ..estimators import require_capability
+from .frontdoor import AsyncPredictionServer
 from .persist import load_model, save_model
 from .service import PredictionService
 
@@ -75,8 +76,6 @@ class ModelRefresher:
         *,
         basename: str = "model",
     ) -> None:
-        from .frontdoor import AsyncPredictionServer
-
         if not isinstance(service, (PredictionService, AsyncPredictionServer)):
             raise ConfigError(
                 "service must be a PredictionService or AsyncPredictionServer, "

@@ -6,17 +6,13 @@ each hosting one replica of the served model loaded from a versioned
 artifact — the deployment shape of the ROADMAP's serving tier, where
 model state lives behind a process boundary and the ingress only routes.
 
-Two worker flavours share one message protocol
-(``predict`` / ``swap`` / ``ping`` / ``stop``):
-
-* :class:`_ProcessShardWorker` — a ``multiprocessing`` child connected
-  by a duplex pipe.  The child loads its replica via
-  :func:`repro.serve.load_model` (so what serves is exactly what a
-  process restart would load) and answers one request at a time; the
-  parent-side handle serialises access with the pool's free-list.
-* :class:`_InlineShardWorker` — the same contract in-process, for
-  deterministic tests, quick benchmarks, and serving an already-fitted
-  model object without an artifact.
+Workers speak one message protocol (``predict`` / ``swap`` / ``stop``),
+answered by one in-process replica, :class:`_InlineShardWorker`: it is
+the whole worker of an inline pool (deterministic tests, quick
+benchmarks, model objects without an artifact) and the replica inside
+each :class:`_ProcessShardWorker`, a ``multiprocessing`` child on a
+duplex pipe that loads its model from the artifact (so what serves is
+exactly what a process restart would load).
 
 Dispatch is a free-list ``queue.Queue``: a predict borrows any idle
 worker (blocking when all are busy — the pool is the backpressure the
@@ -39,6 +35,7 @@ import numpy as np
 
 from ..errors import ConfigError, ReproError
 from ..obs import metrics, trace
+from .core import predict_rows
 
 __all__ = ["ShardWorkerPool", "ShardWorkerError"]
 
@@ -56,11 +53,8 @@ def _shard_worker_main(worker_id: int, conn, artifact: str, sys_path: List[str])
         if entry not in sys.path:
             sys.path.append(entry)
     try:
-        from repro.serve.persist import load_model
-
-        model = load_model(artifact)
-        version = 1
-        conn.send(("ready", None, version))
+        replica = _InlineShardWorker(worker_id, artifact)
+        conn.send(("ready", None, replica.version))
     except BaseException as exc:
         try:
             conn.send(("error", f"failed to load {artifact!r}: {exc!r}", 0))
@@ -72,28 +66,24 @@ def _shard_worker_main(worker_id: int, conn, artifact: str, sys_path: List[str])
             msg = conn.recv()
         except (EOFError, OSError):
             return
-        cmd = msg[0]
-        if cmd == "stop":
+        if msg[0] == "stop":
             conn.close()
             return
         try:
-            if cmd == "predict":
-                rows, predict_kw, devices = msg[1], msg[2], msg[3]
-                if devices is not None:
-                    labels = model.predict_batch([rows], devices=devices, **predict_kw)
-                else:
-                    labels = model.predict(rows, **predict_kw)
-                conn.send(("ok", np.asarray(labels, dtype=np.int32), version))
-            elif cmd == "swap":
-                model = load_model(msg[1])
-                version += 1
-                conn.send(("ok", None, version))
-            elif cmd == "ping":
-                conn.send(("ok", None, version))
-            else:
-                conn.send(("error", f"unknown command {cmd!r}", version))
+            payload, version = replica.handle(msg)
+            conn.send(("ok", payload, version))
         except Exception as exc:
-            conn.send(("error", repr(exc), version))
+            conn.send(("error", repr(exc), replica.version))
+
+
+def load_replica(source):
+    """The model an artifact path holds, or ``source`` itself when it is
+    already a model object."""
+    if isinstance(source, (str, os.PathLike)):
+        from .persist import load_model
+
+        return load_model(os.fspath(source))
+    return source
 
 
 class _ProcessShardWorker:
@@ -142,45 +132,31 @@ class _ProcessShardWorker:
 
 
 class _InlineShardWorker:
-    """The same protocol served in-process (tests, quick benches, and
-    model objects that never went through an artifact)."""
+    """One model replica answering the protocol in-process: the whole
+    worker of an inline pool (tests, quick benches, and model objects
+    that never went through an artifact), and the replica inside every
+    worker process."""
 
     def __init__(self, worker_id: int, source) -> None:
         self.worker_id = worker_id
-        self.model = self._load(source)
+        self.model = load_replica(source)
         self.version = 1
 
-    @staticmethod
-    def _load(source):
-        if isinstance(source, (str, os.PathLike)):
-            from .persist import load_model
-
-            return load_model(os.fspath(source))
-        return source
-
-    def request(self, msg: Tuple) -> Tuple[Optional[np.ndarray], int]:
-        cmd = msg[0]
-        if cmd == "predict":
-            rows, predict_kw, devices = msg[1], msg[2], msg[3]
-            try:
-                if devices is not None:
-                    labels = self.model.predict_batch(
-                        [rows], devices=devices, **predict_kw
-                    )
-                else:
-                    labels = self.model.predict(rows, **predict_kw)
-            except Exception as exc:
-                raise ShardWorkerError(
-                    f"shard worker {self.worker_id}: {exc!r}"
-                ) from exc
-            return np.asarray(labels, dtype=np.int32), self.version
-        if cmd == "swap":
-            self.model = self._load(msg[1])
+    def handle(self, msg: Tuple) -> Tuple[Optional[np.ndarray], int]:
+        """Answer one ``predict`` or ``swap`` message; errors propagate."""
+        if msg[0] == "predict":
+            return predict_rows(self.model, *msg[1:4]), self.version
+        if msg[0] == "swap":
+            self.model = load_replica(msg[1])
             self.version += 1
             return None, self.version
-        if cmd == "ping":
-            return None, self.version
-        raise ShardWorkerError(f"unknown command {cmd!r}")
+        raise ShardWorkerError(f"unknown command {msg[0]!r}")
+
+    def request(self, msg: Tuple) -> Tuple[Optional[np.ndarray], int]:
+        try:
+            return self.handle(msg)
+        except Exception as exc:
+            raise ShardWorkerError(f"shard worker {self.worker_id}: {exc!r}") from exc
 
     def stop(self) -> None:
         self.model = None
@@ -312,16 +288,6 @@ class ShardWorkerPool:
             trace.instant("serve.async.pool_swap", version=max(versions))
             metrics.counter("serve.async.pool_swaps").inc()
         return max(versions)
-
-    def versions(self) -> List[int]:
-        """Current model version of every replica (``ping`` round)."""
-        with self._swap_lock:
-            held = [self._free.get() for _ in range(self.n_workers)]
-            try:
-                return [w.request(("ping",))[1] for w in held]
-            finally:
-                for w in held:
-                    self._free.put(w)
 
     def close(self) -> None:
         """Stop every worker (idempotent)."""

@@ -280,8 +280,16 @@ class TestRealTreeDeclarations:
     def test_frontdoor_declares_loop_confined_state(self):
         decl = self._decl("src/repro/serve/frontdoor.py", "AsyncPredictionServer")
         assert decl is not None
-        assert decl.guards["_inflight"] == ("event-loop",)
+        assert decl.guards["_pool"] == ("event-loop",)
         assert "swap_artifact" in decl.off_loop_methods
+
+    def test_serving_core_guards_its_policy_state_with_one_lock(self):
+        decl = self._decl("src/repro/serve/core.py", "ServingCore")
+        assert decl is not None
+        assert decl.lock_attrs == {"_lock"}
+        for attr in ("model", "_version", "_cache", "_inflight", "_counts",
+                     "_latencies", "_batch_sizes"):
+            assert decl.guards[attr] == ("_lock",), attr
 
     def test_metrics_instruments_declare_their_lock(self):
         for cls in ("Counter", "Gauge", "Histogram", "MetricsRegistry"):

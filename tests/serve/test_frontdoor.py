@@ -91,23 +91,6 @@ class TestCorrectness:
         assert (one, two) == (expected[0], expected[1])
         assert one.model_version == 1 and not one.coalesced
 
-    def test_cache_answers_repeats(self, fitted):
-        model, q = fitted
-
-        async def go():
-            async with AsyncPredictionServer(
-                model, batch_size=8, cache_size=64
-            ) as server:
-                first = await server.predict_many(q[:8], details=True)
-                again = await server.predict_many(q[:8], details=True)
-                return first, again, server.stats()
-
-        first, again, stats = asyncio.run(go())
-        assert not any(r.cache_hit for r in first)
-        assert all(r.cache_hit for r in again)
-        assert stats["cache_hits"] == 8
-        assert stats["backend_rows"] == 8  # the repeats never hit a worker
-
     def test_lifecycle_guards(self, fitted):
         model, _ = fitted
         server = AsyncPredictionServer(model)
@@ -405,27 +388,12 @@ class TestHotSwap:
         assert stats["errors"] == 0
         assert stats["model_swaps"] == n_swaps
         assert stats["model_version"] == 1 + n_swaps
-        # every answer is a valid label stamped with a version that served
-        assert all(0 <= int(r) < 3 for r in details)
+        # every answer is the label of the model its version names:
+        # version 1 is a, and the swaps alternate b, a, b, ...
+        want = {1: load_model(path_a).predict(q), 0: load_model(path_b).predict(q)}
         assert all(1 <= r.model_version <= 1 + n_swaps for r in details)
-
-    def test_swap_invalidates_the_cache(self, fitted, tmp_path):
-        path_a, path_b = self._two_artifacts(tmp_path)
-        q = np.random.default_rng(4).standard_normal((8, 4))
-
-        async def go():
-            async with AsyncPredictionServer(
-                path_a, batch_size=8, cache_size=64, processes=False
-            ) as server:
-                await server.predict_many(q)
-                version = await server.aswap_artifact(path_b)
-                after = await server.predict_many(q, details=True)
-                return version, after
-
-        version, after = asyncio.run(go())
-        assert version == 2
-        assert not any(r.cache_hit for r in after)  # v1 cache died with v1
-        assert all(r.model_version == 2 for r in after)
+        for j, r in enumerate(details):
+            assert int(r) == want[r.model_version % 2][j], (j, r)
 
     def test_refresher_publishes_into_the_front_door(self, tmp_path):
         x = make_blobs(60, 4, 3, rng=0)[0].astype(np.float64)

@@ -154,11 +154,16 @@ class TestServeLoop:
         capsys.readouterr()  # drop the save banner
         _, x = train_csv
         good = json.dumps([float(v) for v in x[0]])
-        monkeypatch.setattr("sys.stdin", io.StringIO("not json\n" + good + "\n"))
+        nan_row = json.dumps([float("nan")] + [float(v) for v in x[0][1:]])
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("not json\n" + nan_row + "\n" + good + "\n")
+        )
         assert main(["serve", out]) == 0
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 1
-        assert "error" in captured.err
+        errors = [json.loads(e) for e in captured.err.strip().splitlines()[:-1]]
+        assert [e["line"] for e in errors] == [1, 2]  # the NaN row is rejected too
+        assert "NaN or inf" in errors[1]["error"]
 
 
 class TestStatsCommand:

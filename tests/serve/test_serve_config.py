@@ -81,7 +81,7 @@ class TestServeConfig:
         model, q = fitted
         cfg = ServeConfig(batch_size=4, max_delay_ms=1.0, cache_size=0)
         with PredictionService(model, cfg) as svc:
-            assert svc.batch_size == 4
+            assert svc.config.batch_size == 4
             assert np.array_equal(svc.predict_many(q), model.predict(q))
         # the service cloned the config: mutating ours after the fact is inert
         cfg.set_params(batch_size=99)

@@ -103,7 +103,7 @@ class TestBatchingAndCache:
         model, q = fitted
         with PredictionService(model, batch_size=16, cache_size=5) as svc:
             svc.predict_many(q)
-            assert len(svc._cache) <= 5
+            assert len(svc._core._cache) <= 5
 
     def test_stats_shape(self, fitted):
         model, q = fitted

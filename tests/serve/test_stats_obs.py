@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.estimators import make_estimator
 from repro.serve import PredictionService
+from repro.serve.core import percentile
 
 
 def _fitted(seed=0, n=80, d=6, k=3):
@@ -21,16 +22,16 @@ def _fitted(seed=0, n=80, d=6, k=3):
 
 class TestPercentileEdges:
     def test_empty_window_reports_zero_not_nan(self):
-        assert PredictionService._percentile([], 50) == 0.0
-        assert PredictionService._percentile([], 95) == 0.0
+        assert percentile([], 50) == 0.0
+        assert percentile([], 95) == 0.0
 
     def test_single_sample_reports_that_sample_for_every_q(self):
         for q in (0, 50, 95, 100):
-            assert PredictionService._percentile([0.25], q) == 0.25
+            assert percentile([0.25], q) == 0.25
 
     def test_multi_sample_matches_numpy(self):
         vals = [0.1, 0.2, 0.3, 0.4]
-        assert PredictionService._percentile(vals, 50) == pytest.approx(
+        assert percentile(vals, 50) == pytest.approx(
             float(np.percentile(vals, 50))
         )
 
@@ -58,8 +59,8 @@ class TestBoundedWindow:
         ) as svc:
             svc.predict_many(queries)
             stats = svc.stats()
-            assert len(svc._latencies) <= 8
-            assert len(svc._batch_sizes) <= 8
+            assert len(svc._core._latencies) <= 8
+            assert len(svc._core._batch_sizes) <= 8
         # lifetime counters are not clipped by the rolling window
         assert stats["requests"] == 40
         assert stats["served"] == 40
@@ -122,7 +123,7 @@ class TestStatsSwapRaces:
             for th in readers:
                 th.start()
             swapper.start()
-            labels = svc.predict_many(queries)
+            details = svc.predict_many(queries, details=True)
             swapper.join()
             stop.set()
             for th in readers:
@@ -130,7 +131,12 @@ class TestStatsSwapRaces:
             final = svc.stats()
 
         assert not errors, errors
-        assert labels.shape == (400,)
+        assert len(details) == 400
+        # every answer is the label of the model its version names:
+        # version 1 is model_a, and the swaps alternate b, a, b, ...
+        want = {1: model_a.predict(queries), 0: model_b.predict(queries)}
+        for j, r in enumerate(details):
+            assert int(r) == want[r.model_version % 2][j], (j, r)
         assert final["served"] == 400
         assert final["model_swaps"] == 20
         assert final["model_version"] == 21
