@@ -66,8 +66,9 @@ class PopcornKernelKMeans(BaseKernelKMeans):
         monolithic run for any valid value.
     chunk_cols, n_threads:
         Cluster-axis chunk and thread count of the chunked fused
-        reduction — the host-side distance+argmin path that never
-        materialises the full ``n x k`` distance block.  Setting either
+        reduction — the host-side distance+argmin path, which reads K
+        once per step into a resident ``k x n`` ``E^T`` and sweeps it in
+        ``chunk_rows x chunk_cols`` panels.  Setting either
         with ``backend="auto"`` selects the host backend; labels are
         bit-identical for every setting.
     batch_size, max_no_improvement, reassignment_ratio:

@@ -16,11 +16,13 @@ runs on this subsystem:
   engine: a :class:`~repro.engine.reduction.PairwiseReduction` base spec
   (two-axis chunk schedule + work-stealing thread pool) with an
   :class:`~repro.engine.reduction.ArgminReduction` kernel that fuses the
-  row argmin into the sweep, so the full ``n x k`` (or ``m x k``)
-  distance block is never materialised — each worker holds one
-  ``chunk_rows x chunk_cols`` panel.  The host and sharded fit loops and
-  the shared predict path all run on it, with labels bit-for-bit equal
-  to the full-matrix pipeline for every chunk shape and thread count.
+  row argmin into the sweep — each worker holds one
+  ``chunk_rows x chunk_cols`` distance panel; the fit step reads K once
+  into a resident ``k x n`` ``E^T`` (``k / n`` of K) and sweeps panels
+  of it, and prediction never builds the ``m x k`` block.  The host and
+  sharded fit loops and the shared predict path all run on it, with
+  labels bit-for-bit equal to the full-matrix pipeline for every chunk
+  shape and thread count.
   ``chunk_rows=`` is the one row-granularity knob everywhere: the device
   backend streams kernel-matrix panels of that height over PCIe, and
   host-family backends chunk the fused reduction with it;

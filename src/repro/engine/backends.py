@@ -24,6 +24,7 @@ the device memory wall into a transfer cost.
 
 from __future__ import annotations
 
+import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from ..kernels.base import Kernel
 from ..kernels.dispatch import choose_gram_method
 from ..kernels.gram import device_kernel_matrix
 from .reduction import (
+    WorkStealingPool,
     chunk_ranges,
     fused_popcorn_argmin,
     validate_chunk_size,
@@ -120,8 +122,8 @@ class DistanceStep:
     * **fused** — produced by the chunked reduction engine
       (:mod:`repro.engine.reduction`): only the row argmin outputs
       (``labels``, ``min_d``) plus an exact on-demand entry evaluator
-      survive, and ``d`` is deliberately unavailable because the full
-      block was never built.
+      survive, and ``d`` is deliberately unavailable because the sweep
+      keeps no distance block.
 
     :meth:`assigned` serves both: the per-row distance to an arbitrary
     assignment, which is all the fit loop (objective, reseed policy)
@@ -183,6 +185,9 @@ class DistanceStep:
     def free(self) -> None:
         for buf in self._frees:
             buf.free()
+        # a fused step's evaluator holds the step's E^T; drop it before
+        # the next step allocates its own
+        self._at = None
 
 
 class Backend(ABC):
@@ -391,23 +396,59 @@ def _resolve_gram_method(
     return used
 
 
+#: bytes of K one kernel-transform task touches: small enough that the
+#: elementwise sequence runs on a cache-resident row panel
+KERNEL_PANEL_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
     """Host-side Gram + kernel + diagonal, bitwise equal to the device path.
 
-    The GEMM is the same ``x @ x.T`` the device shim performs; ``"syrk"``
-    replicates the SYRK + triangular-mirror numerics.  Returns
-    ``(K, diag(K))`` as contiguous arrays.
+    The Gram product is NumPy's ``x @ x.T`` (BLAS SYRK plus NumPy's
+    mirror), the product the device shim performs; ``"syrk"`` then runs
+    :func:`repro.gpu.blas.syrk_mirror` as the device's SYRK path does.
+    The kernel transform runs in place over row panels of
+    :data:`KERNEL_PANEL_BYTES`, one work-stealing task each, as wide as
+    the CPUs the process may use — the width BLAS gives the product.
+    Each panel goes through :meth:`Kernel.panel_transform`, the
+    elementwise sequence of the whole-matrix ``from_gram`` with its
+    per-build work on the diagonal done once, so K is bitwise the
+    whole-matrix result; a one-panel K runs inline.
+
+    Row-panel GEMMs would skip NumPy's single-threaded mirror, but their
+    entries are not always bitwise the SYRK's: OpenBLAS computes edge
+    tiles, one-row panels (GEMV) and float64 products differently
+    (measured on OpenBLAS 0.3.31, Haswell kernels).
+
+    Returns ``(K, diag(K))`` as contiguous arrays.
     """
     b = x @ x.T
     if used == "syrk":
         b = blas.syrk_mirror(b)
-    if kernel.needs_diag():
-        gram_diag = np.ascontiguousarray(np.diagonal(b)).copy()
-        km = kernel.from_gram(b, gram_diag)
-    else:
-        km = kernel.from_gram(b)
-    km = np.ascontiguousarray(km)
-    return km, np.ascontiguousarray(np.diagonal(km))
+    n = b.shape[0]
+    gram_diag = np.diagonal(b).copy() if kernel.needs_diag() else None
+    rows = max(1, KERNEL_PANEL_BYTES // max(n * b.itemsize, 1))
+
+    transform_panel = kernel.panel_transform(gram_diag, b.dtype)
+
+    def transform(r0: int, r1: int) -> None:
+        panel = b[r0:r1]
+        out = transform_panel(panel, r0)
+        if out is not panel:
+            panel[...] = out
+
+    WorkStealingPool(_usable_cpus()).run(
+        [(lambda r0=r0, r1=r1: transform(r0, r1)) for r0, r1 in chunk_ranges(n, rows)]
+    )
+    return b, np.diagonal(b).copy()
 
 
 class HostBackend(Backend):

@@ -31,6 +31,7 @@ never materialised.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -95,6 +96,8 @@ class OutOfSamplePredictor(ParamsProtocol):
     _support_weights = None
     _support_centers = None
     _support_v = None
+    #: (weakref to _support_x, dtype, squared norms); see _support_sq_norms
+    _support_sq = None
 
     def _require_fitted(self) -> None:
         check_is_fitted(self)
@@ -166,9 +169,9 @@ class OutOfSamplePredictor(ParamsProtocol):
         ``kernel_host`` is the training kernel matrix (host view); the
         centroid norms are made consistent with the *final* labels — the
         loop's own norms correspond to the pre-update selection matrix.
-        They run through the fit's z-pass and SpMV in float64: each
-        per-cluster block ``K[L_j, L_j]`` is promoted as it is gathered,
-        so no float64 copy of K is ever made.
+        They run through a per-cluster z-pass and the SpMV in float64:
+        each block ``K[L_j, L_j]`` is promoted as it is gathered, so no
+        float64 copy of K is ever made.
         """
         from ..sparse import factored_selection, factored_spmv
 
@@ -185,6 +188,27 @@ class OutOfSamplePredictor(ParamsProtocol):
         self._support_centers = None
         self._support_v = None
         self._support_selection(labels)
+
+    def _support_sq_norms(self, kernel, dtype) -> Optional[np.ndarray]:
+        """``kernel.pairwise``'s squared norms of the support rows, or None.
+
+        Only kernels that need squared norms (:meth:`Kernel.needs_diag`)
+        use them.  They are computed as ``pairwise`` would, in the query
+        dtype, and cached against the ``_support_x`` array object through
+        a weak reference, so a refit, ``partial_fit`` growth or
+        ``load_model`` recomputes them.  They are never persisted.
+        """
+        sup = self._support_x
+        if sup is None or not kernel.needs_diag():
+            return None
+        dt = np.dtype(dtype)
+        cached = self._support_sq
+        if cached is not None and cached[0]() is sup and cached[1] == dt:
+            return cached[2]
+        ym = as_matrix(sup, dtype=dt, name="y")
+        sq = np.einsum("ij,ij->i", ym, ym)
+        self._support_sq = (weakref.ref(sup), dt, sq)
+        return sq
 
     def _finalize_centers_support(self, centers) -> None:
         """Stash an explicit-centers support set (Lloyd / embedding paths)."""
@@ -319,9 +343,10 @@ class OutOfSamplePredictor(ParamsProtocol):
         if kernel is None:
             raise ConfigError(f"{type(self).__name__} has no kernel to evaluate queries with")
         sup = self._support_x
+        sup_sq = self._support_sq_norms(kernel, xm.dtype)
         return self._assign_cross(
             xm.shape[0],
-            lambda r0, r1: kernel.pairwise(xm[r0:r1], sup).astype(np.float64),
+            lambda r0, r1: kernel.pairwise(xm[r0:r1], sup, y_sq=sup_sq).astype(np.float64),
             rows,
             cols,
             threads,

@@ -554,12 +554,13 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
             xb = xm[lo:hi]
             sup_before = est._support_x
             kernel = est.kernel
+            sup_sq = est._support_sq_norms(kernel, xb.dtype)
             with trace.span("minibatch.batch", lo=lo, hi=hi):
                 labels_b = _update_batch(
                     est,
                     state,
-                    panel_fn=lambda r0, r1, xb=xb, sup=sup_before: np.asarray(
-                        kernel.pairwise(xb[r0:r1], sup), dtype=np.float64
+                    panel_fn=lambda r0, r1, xb=xb, sup=sup_before, sq=sup_sq: np.asarray(
+                        kernel.pairwise(xb[r0:r1], sup, y_sq=sq), dtype=np.float64
                     ),
                     m=m,
                     w_b=w_b,

@@ -3,7 +3,7 @@
 The plain distance pipeline materialises the full ``n x k`` distance
 block E and then runs a separate row-wise argmin over it, serially.
 This module is the cache-blocked, thread-parallel middle layer that
-removes both costs, modeled on scikit-learn's
+removes the separate argmin pass, modeled on scikit-learn's
 ``pairwise_distances_reduction`` architecture:
 
 * :class:`PairwiseReduction` is the base *spec* — it owns the chunk
@@ -12,24 +12,29 @@ removes both costs, modeled on scikit-learn's
 * :class:`ArgminReduction` is the specialised *kernel* — it fuses the
   row argmin (and min-distance) into the reduction, so each worker
   holds one ``chunk_rows x chunk_cols`` distance panel plus a running
-  per-row best/argbest pair.  The full distance block is never built.
+  per-row best/argbest pair.
 
 Concrete reductions plug in a panel evaluator:
 :func:`fused_popcorn_argmin` evaluates Popcorn's ``-2 K V^T + P~ + C~``
 panels (the fit loop), and :class:`CrossKernelArgmin` evaluates
 ``-2 K_c V^T + C~`` panels (out-of-sample prediction).
 
-Parallelism uses *threads*, not processes: the panel work is NumPy and
+The fit loop's step reads K once (paper Alg. 2, lines 7-9): one SpMM
+writes ``E^T = -2 V K`` into a resident ``k x n`` array, ``k / n`` of K
+(1.3 MB at ``n = 10000``, ``k = 32``, float32).  The label-column
+entries ``z_i = E^T[lab_i, i]`` feed the centroid-norm SpMV, and the
+argmin sweeps panels of that same array.  The SpMM is split over the
+thread pool by nnz-balanced groups of clusters, each reading its
+clusters' rows of K in place, so the step copies no part of K;
+``chunk_rows`` and ``chunk_cols`` shape only the sweep's panels.
+
+Parallelism uses *threads*, not processes: the work is NumPy and
 compiled-kernel bound (the GIL is released inside them) and the operands
-are shared read-only, so row chunks are distributed over a small
-work-stealing pool (:class:`WorkStealingPool`).  Each worker makes one
-copy per row chunk: the dense SpMM operand for that chunk (the
-``n x chunk_rows`` K panel, or the transposed ``n_support x chunk_rows``
-cross-kernel panel) in C order, shared by all of the chunk's cluster
-panels.  That copy is ``n / chunk_cols`` times the distance panel
-(about 80 MB per worker at ``n = 10000`` with float32 K and the default
-2048 rows), so ``chunk_rows`` bounds memory through it, not through the
-distance panel.
+are shared read-only, so tasks are distributed over a small
+work-stealing pool (:class:`WorkStealingPool`).  The prediction
+reduction makes one copy per query chunk: the transposed
+``n_support x chunk_rows`` cross-kernel panel in C order, shared by all
+of the chunk's cluster panels.
 
 Bit-exactness contract
 ----------------------
@@ -40,9 +45,9 @@ for every chunk shape and thread count:
 * the CSR SpMM (:func:`repro.sparse.spmm`) computes each output entry as
   one strictly sequential sum in the row's nonzero order, which depends
   on that row of the selection matrix and that column of K alone — so
-  slicing the selection matrix's rows (cluster chunks) and K's columns
+  slicing the selection matrix's rows (cluster groups) and K's columns
   (sample chunks) leaves every E entry unchanged, and chunk boundaries
-  never move a rounding;
+  never move a rounding; ``z_i`` is read from the same E entries;
 * the selection matrix runs in factored form ``V = diag(1/s) B``
   (:func:`repro.sparse.factored_selection`) through
   :func:`repro.sparse.factored_spmm` and ``factored_spmv``: every E
@@ -55,8 +60,8 @@ for every chunk shape and thread count:
   each panel, which reproduces ``np.argmin``'s lowest-index tie-breaking
   over the full row;
 * the fp reduction order is fixed by the chunk schedule alone — the
-  work-stealing pool only changes *when* a row chunk runs, never what it
-  computes, and row chunks write disjoint output slices.
+  work-stealing pool only changes *when* a task runs, never what it
+  computes, and tasks write disjoint output slices.
 """
 
 from __future__ import annotations
@@ -308,7 +313,7 @@ class ArgminReduction(PairwiseReduction):
     so ties resolve to the lowest column index exactly as a full-row
     ``np.argmin`` would (the :func:`repro.core.assignment.argmin_assign`
     contract).  Outputs are ``labels`` (int32) and ``min_d`` (the panel
-    dtype) — the full distance block is never materialised.
+    dtype); no ``rows x cols`` distance block is built beyond one panel.
     """
 
     def __init__(
@@ -334,14 +339,20 @@ class ArgminReduction(PairwiseReduction):
 
     @property
     def panel_bytes(self) -> int:
-        """Peak resident distance-panel bytes per worker.
+        """Peak resident bytes of the reduction with one worker.
 
-        The per-row-chunk operand copy of :meth:`_row_context` is not
-        counted; it is the larger of the two (see the module docstring).
+        The ``chunk_rows x chunk_cols`` distance panel plus
+        :meth:`_operand_bytes`: the per-row-chunk operand copy and any
+        buffer held for the whole run.  Each further worker adds its own
+        panel and operand copy.
         """
         rows = self.n_rows if self.chunk_rows is None else min(self.chunk_rows, self.n_rows)
         cols = self.n_cols if self.chunk_cols is None else min(self.chunk_cols, self.n_cols)
-        return int(max(rows, 1) * cols * self.dtype.itemsize)
+        return int(max(rows, 1) * cols * self.dtype.itemsize) + self._operand_bytes(rows)
+
+    def _operand_bytes(self, rows: int) -> int:
+        """Hook: operand bytes resident alongside a ``rows``-row panel."""
+        return 0
 
     def _row_context(self, r0: int, r1: int):
         """Hook: per-row-chunk operands shared across its column chunks."""
@@ -397,20 +408,17 @@ def _label_gather(
 ) -> np.ndarray:
     """``z_i = E[i, lab_i]`` for ``E = -2 K V^T`` without building E.
 
-    ``V = diag(1/sizes) v`` is the factored selection matrix.  Only the
-    label-column entry of each E row feeds the SpMV centroid-norm trick,
-    and point ``i``'s label column is the cluster it belongs to — so per
+    ``V = diag(1/sizes) v`` is the factored selection matrix.  Per
     cluster ``j`` the needed entries are one SpMM row against the
-    gathered ``|L_j| x |L_j|`` block ``K[L_j, L_j]`` (total work
-    ~ n^2/k for balanced clusters, against n^2 k for the full SpMM).
-    Each entry is a sequential sum over row ``j``'s nonzeros in stored
-    order divided by ``sizes[j]``, exactly as in the full product, so it
-    is bitwise the entry the full E would hold.  The gathered block is
-    split column-wise so at most ``budget_elems`` elements are resident
-    (the panel budget the argmin reduction honours); it is gathered in
-    K's dtype and promoted to ``v.dtype`` by the SpMM.  Clusters are
-    independent tasks for the thread pool (they partition the points,
-    so writes are disjoint).
+    gathered ``|L_j| x |L_j|`` block ``K[L_j, L_j]``, promoted to
+    ``v.dtype`` as it is gathered — the float64 support norms of
+    :meth:`repro.engine.base.OutOfSamplePredictor._finalize_support`
+    come from here without a float64 copy of K.  Each entry is a
+    sequential sum over row ``j``'s nonzeros in stored order divided by
+    ``sizes[j]``, exactly as in the full product.  The gathered block is
+    split column-wise so at most ``budget_elems`` elements are resident.
+    Clusters are independent tasks for the thread pool (they partition
+    the points, so writes are disjoint).
     """
     n = km.shape[0]
     z = np.zeros(n, dtype=v.dtype)
@@ -435,26 +443,58 @@ def _label_gather(
     return z
 
 
-class _PopcornArgmin(ArgminReduction):
-    """Fused ``argmin_j (-2 K V^T + P~ + C~)`` over row x cluster chunks."""
+def _nnz_groups(a: CSRMatrix, groups: int) -> List[Tuple[int, int]]:
+    """At most ``groups`` contiguous row ranges of ``a`` with about equal nonzeros."""
+    cuts = np.searchsorted(a.rowptrs, np.arange(1, groups) * (a.nnz / groups))
+    edges = np.unique(np.concatenate(([0], cuts, [a.nrows])))
+    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
 
-    def __init__(self, km, v, sizes, p_norms, c_norms, **kwargs) -> None:
-        super().__init__(km.shape[0], v.nrows, km.dtype, **kwargs)
-        self._km = km
-        self._v = v
-        self._s = sizes
+
+def _e_transpose(
+    km: np.ndarray, v: CSRMatrix, sizes: np.ndarray, *, n_threads: Optional[int]
+) -> np.ndarray:
+    """``E^T = -2 diag(1/sizes) v K`` as one resident ``k x n`` array.
+
+    One SpMM pass over K, split into thread-pool tasks by nnz-balanced
+    groups of clusters (:func:`csr_row_slice`, zero-copy).  Each task
+    reads its clusters' rows of K in place and writes the same rows of
+    ``E^T``.  Every entry is the SpMM's sequential sum over its
+    cluster's nonzeros in stored order, divided once by ``sizes[j]`` —
+    the grouping changes no bit of it.
+    """
+    et = np.empty((v.nrows, km.shape[0]), dtype=v.dtype)
+    threads = validate_n_threads(n_threads) or 1
+
+    def clusters(c0: int, c1: int) -> None:
+        factored_spmm(csr_row_slice(v, c0, c1), sizes[c0:c1], km, alpha=-2.0, out=et[c0:c1])
+
+    # several groups per thread, so a worker slowed by outside load
+    # leaves the rest of its share to be stolen
+    WorkStealingPool(n_threads).run(
+        [
+            (lambda c0=c0, c1=c1: clusters(c0, c1))
+            for c0, c1 in _nnz_groups(v, 4 * threads if threads > 1 else 1)
+        ]
+    )
+    return et
+
+
+class _PopcornArgmin(ArgminReduction):
+    """Fused ``argmin_j (E + P~ + C~)`` over row x cluster chunks of ``E^T``."""
+
+    def __init__(self, et, p_norms, c_norms, **kwargs) -> None:
+        super().__init__(et.shape[1], et.shape[0], et.dtype, **kwargs)
+        self._et = et
         self._p = p_norms
         self._c = c_norms
 
-    def _row_context(self, r0: int, r1: int):
-        # one C-order copy of the K panel per row chunk (none when the
-        # chunk spans K), shared by every cluster chunk's SpMM
-        return np.ascontiguousarray(self._km[:, r0:r1])
+    def _operand_bytes(self, rows: int) -> int:
+        # the resident E^T, shared by every worker
+        return int(self._et.nbytes)
 
-    def _panel(self, kp, r0, r1, c0, c1) -> np.ndarray:
-        vc = self._v if c0 == 0 and c1 == self.n_cols else csr_row_slice(self._v, c0, c1)
-        e = factored_spmm(vc, self._s[c0:c1], kp, alpha=-2.0)  # (cc, rr); rows of E^T
-        panel = e.T + self._p[r0:r1, None]
+    def _panel(self, ctx, r0, r1, c0, c1) -> np.ndarray:
+        # C order, so the row argmin reads the panel without a copy
+        panel = np.add(self._et[c0:c1, r0:r1].T, self._p[r0:r1, None], order="C")
         panel += self._c[c0:c1][None, :]
         return panel
 
@@ -462,52 +502,36 @@ class _PopcornArgmin(ArgminReduction):
 class FusedDistances:
     """Result of one fused Popcorn distance step.
 
-    Holds the argmin outputs (``labels``, ``min_d``) plus the operands
-    of an exact on-demand entry evaluator :meth:`at` (the factored
-    selection ``V = diag(1/sizes) v`` and ``c_norms``) — everything the
-    fit loop's objective, convergence and empty-cluster-reseed policies
-    need, with no ``n x k`` block anywhere.
+    Holds the argmin outputs (``labels``, ``min_d``), the centroid norms
+    ``c_norms`` and the operands of an exact on-demand entry evaluator
+    :meth:`at` — everything the fit loop's objective, convergence and
+    empty-cluster-reseed policies need.  The resident ``E^T`` is ``k x
+    n``, ``k / n`` of K.
     """
 
-    __slots__ = ("labels", "min_d", "v", "sizes", "c_norms", "_km", "_p")
+    __slots__ = ("labels", "min_d", "c_norms", "_et", "_p")
 
-    def __init__(self, labels, min_d, v, sizes, c_norms, km, p_norms) -> None:
+    def __init__(self, labels, min_d, c_norms, et, p_norms) -> None:
         self.labels = labels
         self.min_d = min_d
-        self.v = v
-        self.sizes = sizes
         self.c_norms = c_norms
-        self._km = km
+        self._et = et
         self._p = p_norms
 
     def at(self, rows, cols) -> np.ndarray:
-        """Exact distance entries ``D[rows[t], cols[t]]``, one at a time.
+        """Exact distance entries ``D[rows[t], cols[t]]``.
 
-        Each entry is the same sequential sum over cluster ``j``'s
-        nonzeros, divided by ``sizes[j]``, that the panels compute for
-        that (point, cluster) pair, so the value is bitwise the
-        full-matrix ``D[i, j]`` — including empty clusters, whose SpMM/SpMV
-        contributions are exact zeros (``D[i, j_empty] = (0 + P~_i) + 0``).
-        Used by the reseed policy, which touches at most ``k`` entries.
+        Each entry adds the same ``(E + P~) + C~`` terms the panels add
+        for that (point, cluster) pair, so the value is bitwise the
+        full-matrix ``D[i, j]`` — including empty clusters, whose ``E^T``
+        row is exact zeros.  Used by the reseed policy, which touches at
+        most ``k`` entries.
         """
         rows = np.atleast_1d(np.asarray(rows))
         cols = np.atleast_1d(np.asarray(cols))
         if rows.shape != cols.shape:
             raise ShapeError("rows and cols must have matching shapes")
-        v, km, dt = self.v, self._km, self.min_d.dtype
-        out = np.empty(rows.shape[0], dtype=dt)
-        for t in range(rows.shape[0]):
-            i, j = int(rows[t]), int(cols[t])
-            lo, hi = int(v.rowptrs[j]), int(v.rowptrs[j + 1])
-            if lo == hi:
-                e = dt.type(0.0)
-            else:
-                members = v.colinds[lo:hi]
-                row = _one_row_csr(v.values[lo:hi])
-                col = km[members, i][:, None]
-                e = factored_spmm(row, self.sizes[j : j + 1], col, alpha=-2.0)[0, 0]
-            out[t] = (e + self._p[i]) + self.c_norms[j]
-        return out
+        return (self._et[cols, rows] + self._p[rows]) + self.c_norms[cols]
 
 
 def fused_popcorn_argmin(
@@ -523,15 +547,17 @@ def fused_popcorn_argmin(
 ) -> FusedDistances:
     """One Popcorn distance step through the fused reduction engine.
 
-    Three phases, each bitwise equal to its full-matrix counterpart:
+    One pass over K (paper Alg. 2, lines 7-9), each phase bitwise equal
+    to its full-matrix counterpart:
 
-    1. **z-pass** — :func:`_label_gather` computes ``z_i = E[i, lab_i]``
-       per cluster without building E;
-    2. **centroid norms** — the same ``C~ = -0.5 V z`` SpMV the
-       full-matrix pipeline runs (the -0.5 cancels the -2 and is an
-       exact power-of-two scaling), divided once by the cluster sizes;
+    1. **SpMM** — :func:`_e_transpose` computes ``E^T = -2 V K`` once,
+       into a resident ``k x n`` array (``k / n`` of K);
+    2. **centroid norms** — ``z_i = E^T[lab_i, i]`` is read from it, and
+       the same ``C~ = -0.5 V z`` SpMV the full-matrix pipeline runs
+       (the -0.5 cancels the -2 and is an exact power-of-two scaling)
+       gives the norms, divided once by the cluster sizes;
     3. **fused argmin** — :class:`_PopcornArgmin` sweeps
-       ``chunk_rows x chunk_cols`` panels of ``E^T + P~ + C~``,
+       ``chunk_rows x chunk_cols`` panels of ``E + P~ + C~``,
        thread-parallel over row chunks.
 
     Returns a :class:`FusedDistances`; ``labels``/``min_d`` match the
@@ -543,26 +569,16 @@ def fused_popcorn_argmin(
         raise ShapeError("kernel matrix must be square")
     lab = check_labels(labels, n, k)
     dt = np.dtype(dtype) if dtype is not None else k_mat.dtype
-    km = k_mat.astype(dt, copy=False)
+    km = np.ascontiguousarray(k_mat, dtype=dt)
     v, sizes = factored_selection(lab, k, weights=weights, dtype=dt)
     p_norms = np.diagonal(km)
+    et = _e_transpose(km, v, sizes, n_threads=n_threads)
+    c_norms = factored_spmv(v, sizes, et[lab, np.arange(n)], alpha=-0.5)
     red = _PopcornArgmin(
-        km,
-        v,
-        sizes,
-        p_norms,
-        np.zeros(k, dtype=dt),  # placeholder until c_norms exist
-        chunk_rows=chunk_rows,
-        chunk_cols=chunk_cols,
-        n_threads=n_threads,
+        et, p_norms, c_norms, chunk_rows=chunk_rows, chunk_cols=chunk_cols, n_threads=n_threads
     )
-    z = _label_gather(
-        km, v, sizes, budget_elems=max(red.panel_bytes // dt.itemsize, 1), n_threads=n_threads
-    )
-    c_norms = factored_spmv(v, sizes, z, alpha=-0.5)
-    red._c = c_norms
     red.run()
-    return FusedDistances(red.labels, red.min_d, v, sizes, c_norms, km, p_norms)
+    return FusedDistances(red.labels, red.min_d, c_norms, et, p_norms)
 
 
 # ----------------------------------------------------------------------
@@ -593,6 +609,10 @@ class CrossKernelArgmin(ArgminReduction):
         self._panel_rows = panel_rows
         self._v = v
         self._c = c_norms
+
+    def _operand_bytes(self, rows: int) -> int:
+        # the C-order transposed copy of each query chunk's cross-kernel
+        return int(rows * self._v.ncols * self.dtype.itemsize)
 
     def _row_context(self, r0: int, r1: int):
         kc = np.asarray(self._panel_rows(r0, r1), dtype=np.float64)

@@ -17,6 +17,7 @@ the Laplacian kernel, which needs L1 distances) set
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 import numpy as np
 
@@ -60,13 +61,32 @@ class Kernel(ParamsProtocol, ABC):
     # gram-matrix path (Popcorn's)
     # ------------------------------------------------------------------
     @abstractmethod
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, *, row0: int = 0
+    ) -> np.ndarray:
         """Kernel matrix from the Gram matrix ``b`` (modified in place).
 
         ``diag`` must be the diagonal of the *full* Gram matrix when the
         kernel needs squared norms (Gaussian); elementwise kernels ignore
-        it.  Returns the transformed array (same object when in place).
+        it.  ``b`` may also be the row block ``[row0, row0 + len(b))`` of
+        the Gram matrix; ``diag`` is then required, and every entry goes
+        through the same elementwise sequence as in the whole-matrix call,
+        so a row-blocked transform is bitwise the whole one.  Returns the
+        transformed array (same object when in place).
         """
+
+    def panel_transform(
+        self, diag: np.ndarray | None, dtype
+    ) -> Callable[[np.ndarray, int], np.ndarray]:
+        """``f(panel, row0)``: :meth:`from_gram` over row panels of one Gram matrix.
+
+        ``diag`` is the full Gram diagonal (or None, as for
+        :meth:`from_gram`) and ``dtype`` the Gram matrix's.  Kernels whose
+        transform derives per-build operands from ``diag`` override this
+        to compute them once, not once per panel; the default calls
+        ``from_gram(panel, diag, row0=row0)``.
+        """
+        return lambda panel, row0: self.from_gram(panel, diag, row0=row0)
 
     def needs_diag(self) -> bool:
         """Whether :meth:`from_gram` requires the Gram diagonal."""
@@ -75,11 +95,16 @@ class Kernel(ParamsProtocol, ABC):
     # ------------------------------------------------------------------
     # direct path (reference)
     # ------------------------------------------------------------------
-    def pairwise(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    def pairwise(
+        self, x: np.ndarray, y: np.ndarray | None = None, *, y_sq: np.ndarray | None = None
+    ) -> np.ndarray:
         """Dense kernel matrix ``K[i, j] = kappa(x_i, y_j)``.
 
         Default implementation goes through the Gram matrix; kernels that
-        are not Gram-expressible must override.
+        are not Gram-expressible must override.  ``y_sq`` optionally
+        supplies ``einsum("ij,ij->i", y, y)`` (``y`` in ``x``'s dtype) for
+        kernels that need squared norms, so a caller that evaluates many
+        query blocks against one fixed ``y`` computes them once.
         """
         xm = as_matrix(x, name="x")
         ym = xm if y is None else as_matrix(y, dtype=xm.dtype, name="y")
@@ -93,7 +118,7 @@ class Kernel(ParamsProtocol, ABC):
                 diag = np.einsum("ij,ij->i", xm, xm)
                 return self._from_cross_gram(b, diag, diag)
             dx = np.einsum("ij,ij->i", xm, xm)
-            dy = np.einsum("ij,ij->i", ym, ym)
+            dy = np.einsum("ij,ij->i", ym, ym) if y_sq is None else y_sq
             return self._from_cross_gram(b, dx, dy)
         return self.from_gram(b)
 

@@ -28,14 +28,24 @@ class CosineKernel(Kernel):
     def needs_diag(self) -> bool:
         return True
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, *, row0: int = 0
+    ) -> np.ndarray:
         if diag is None:
             diag = np.ascontiguousarray(np.diagonal(b)).copy()
-        inv = self._inv_norms(diag, b.dtype)
-        b *= inv[:, None]
-        b *= inv[None, :]
-        np.clip(b, -1.0, 1.0, out=b)
-        return b
+        return self.panel_transform(diag, b.dtype)(b, row0)
+
+    def panel_transform(self, diag, dtype):
+        # the inverse norms are one pass over diag, shared by every panel
+        inv = self._inv_norms(diag, dtype)
+
+        def transform(b: np.ndarray, row0: int) -> np.ndarray:
+            b *= inv[row0 : row0 + b.shape[0], None]
+            b *= inv[None, :]
+            np.clip(b, -1.0, 1.0, out=b)
+            return b
+
+        return transform
 
     def _from_cross_gram(
         self, b: np.ndarray, row_sq: np.ndarray, col_sq: np.ndarray
@@ -81,11 +91,13 @@ class RationalQuadraticKernel(Kernel):
     def _denom(self) -> float:
         return 2.0 * self.alpha * self.length_scale**2
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, *, row0: int = 0
+    ) -> np.ndarray:
         if diag is None:
             diag = np.ascontiguousarray(np.diagonal(b)).copy()
         b *= b.dtype.type(-2.0)
-        b += diag[:, None]
+        b += diag[row0 : row0 + b.shape[0], None]
         b += diag[None, :]
         np.maximum(b, 0, out=b)  # clamp round-off
         b /= b.dtype.type(self._denom)

@@ -36,13 +36,15 @@ class GaussianKernel(Kernel):
     def _scale(self) -> float:
         return self.gamma / self.sigma2
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, *, row0: int = 0
+    ) -> np.ndarray:
         if diag is None:
             diag = np.ascontiguousarray(np.diagonal(b))
         # ||x_i - x_j||^2 = B_ii - 2 B_ij + B_jj (Eq. 12), fused in place
         s = b.dtype.type(self._scale)
         b *= b.dtype.type(-2.0)
-        b += diag[:, None]
+        b += diag[row0 : row0 + b.shape[0], None]
         b += diag[None, :]
         b *= -s
         np.exp(b, out=b)

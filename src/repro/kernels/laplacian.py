@@ -29,13 +29,18 @@ class LaplacianKernel(Kernel):
     def __init__(self, gamma: float = 1.0) -> None:
         self._init_params(gamma=gamma)
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, *, row0: int = 0
+    ) -> np.ndarray:
         raise ShapeError(
             "LaplacianKernel cannot be computed from a Gram matrix; "
             "use pairwise() or pass a precomputed kernel matrix"
         )
 
-    def pairwise(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    def pairwise(
+        self, x: np.ndarray, y: np.ndarray | None = None, *, y_sq: np.ndarray | None = None
+    ) -> np.ndarray:
+        # y_sq (squared norms for Gram-expressible kernels) has no use here
         xm = as_matrix(x, name="x")
         ym = xm if y is None else as_matrix(y, dtype=xm.dtype, name="y")
         if xm.shape[1] != ym.shape[1]:

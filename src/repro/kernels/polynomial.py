@@ -35,7 +35,9 @@ class PolynomialKernel(Kernel):
     def __init__(self, gamma: float = 1.0, coef0: float = 1.0, degree: int = 2) -> None:
         self._init_params(gamma=gamma, coef0=coef0, degree=degree)
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, *, row0: int = 0
+    ) -> np.ndarray:
         # K = pow(gamma * B + c, r), elementwise and in place (Eq. 11)
         b *= b.dtype.type(self.gamma)
         b += b.dtype.type(self.coef0)

@@ -86,16 +86,22 @@ def spmm(
 
 
 def factored_spmm(
-    b: CSRMatrix, sizes: np.ndarray | None, x: np.ndarray, *, alpha: float = 1.0
+    b: CSRMatrix,
+    sizes: np.ndarray | None,
+    x: np.ndarray,
+    *,
+    alpha: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Compute ``alpha * diag(1/sizes) b @ x`` for a factored CSR matrix.
 
     The SpMM runs through ``b`` and each output row is divided once by
     its ``sizes`` entry, so the normalisation rounds once per output
     entry rather than in every term.  ``sizes=None`` means ``b`` is
-    already normalised and the product is plain :func:`spmm`.
+    already normalised and the product is plain :func:`spmm`.  ``out``
+    is forwarded to :func:`spmm`.
     """
-    out = spmm(b, x, alpha=alpha)
+    out = spmm(b, x, alpha=alpha, out=out)
     if sizes is not None:
         out /= sizes[:, None]
     return out
