@@ -18,6 +18,8 @@ RPR106   ``_guarded_by`` lock discipline (mutations under the lock, no
 RPR107   span/metric names dotted-lowercase, one kind per name
 RPR108   bench probes deterministic (no wall clock, no unseeded RNG)
 RPR109   one CSR kernel: no ``np.add.reduceat`` segmented sums
+RPR110   no float64 upcast of a ``pairwise(...)`` cross-kernel in
+         engine//core/ hot paths
 RPR999   file does not parse
 =======  ==============================================================
 

@@ -1,6 +1,6 @@
 """The syntactic house rules (pure-AST, no package import needed)."""
 
-from .dense import DenseMaterialisationRule
+from .dense import DenseMaterialisationRule, PairwiseUpcastRule
 from .discipline import ErrorDisciplineRule, PickleBanRule, SingleCSRKernelRule
 from .nondeterminism import NondeterminismRule
 from .obs_names import ObsNamingRule
@@ -12,6 +12,7 @@ __all__ = [
     "ObsNamingRule",
     "NondeterminismRule",
     "SingleCSRKernelRule",
+    "PairwiseUpcastRule",
     "syntactic_rules",
 ]
 
@@ -25,4 +26,5 @@ def syntactic_rules():
         ObsNamingRule(),
         NondeterminismRule(),
         SingleCSRKernelRule(),
+        PairwiseUpcastRule(),
     ]

@@ -19,17 +19,19 @@ runs on this subsystem:
   row argmin into the sweep — each worker holds one
   ``chunk_rows x chunk_cols`` distance panel; the fit step reads K once
   into a resident ``k x n`` ``E^T`` (``k / n`` of K) and sweeps panels
-  of it, and prediction never builds the ``m x k`` block.  The host and
-  sharded fit loops and the shared predict path all run on it, with
-  labels bit-for-bit equal to the full-matrix pipeline for every chunk
-  shape and thread count.
+  of it, and prediction streams support-major cross-kernel panels in
+  the model dtype into the SpMM, never building the ``m x n`` or
+  ``m x k`` block.  The host and sharded fit loops and the shared
+  predict path all run on it; fit labels are bit-for-bit equal to the
+  full-matrix pipeline, and every path's labels are the same for every
+  chunk shape and thread count.
   ``chunk_rows=`` is the one row-granularity knob everywhere: the device
   backend streams kernel-matrix panels of that height over PCIe, and
   host-family backends chunk the fused reduction with it;
 * :class:`~repro.engine.base.OutOfSamplePredictor` is the shared
   out-of-sample contract: one ``predict`` / ``predict_batch``
-  implementation (chunked fused cross-kernel argmin, never the full
-  ``m x n`` matrix) every estimator and the :mod:`repro.serve`
+  implementation (fused cross-kernel argmin over support-major panels,
+  never the full ``m x n`` matrix) every estimator and the :mod:`repro.serve`
   subsystem consume — plus the uniform ``partial_fit`` surface;
 * :mod:`~repro.engine.minibatch` is the online mini-batch fit path
   behind ``partial_fit``: per-batch assignment through the fused

@@ -25,8 +25,8 @@ estimator in the package shares (the serving subsystem,
 *support set* — training points (or explicit feature-space centers),
 final labels, optional point weights, and the squared centroid norms —
 and queries are assigned by streaming the cross-kernel against that
-support in row chunks, so the full ``m x n`` cross-kernel matrix is
-never materialised.
+support in support-major query panels, so the full ``m x n``
+cross-kernel matrix is never materialised.
 """
 
 from __future__ import annotations
@@ -85,10 +85,11 @@ class OutOfSamplePredictor(ParamsProtocol):
     Assignment drops the per-query constant ``kappa(q, q)``, which cannot
     move the argmin: ``d_qj = -2 s_qj + ||c_j||^2`` with ``s_qj`` either
     ``(K_c V^T)_qj`` (kernel support) or ``<phi(q), c_j>`` (centers).
-    ``chunk_rows`` streams the queries in row chunks so only one
-    ``chunk_rows x n_support`` cross-kernel panel is live at a time; the
-    CSR SpMM computes output columns independently, so any chunking is
-    bit-identical to the monolithic product.
+    Queries stream in support-major ``n_support x rows`` cross-kernel
+    panels in the model dtype, sized by a fixed byte budget, so only one
+    panel is live at a time; the CSR SpMM computes output columns
+    independently, so any chunking is bit-identical to the monolithic
+    product.
     """
 
     #: support-set defaults (fit overwrites what applies)
@@ -193,7 +194,8 @@ class OutOfSamplePredictor(ParamsProtocol):
         """``kernel.pairwise``'s squared norms of the support rows, or None.
 
         Only kernels that need squared norms (:meth:`Kernel.needs_diag`)
-        use them.  They are computed as ``pairwise`` would, in the query
+        use them; prediction passes them as ``pairwise(support, q,
+        x_sq=)``.  They are computed as ``pairwise`` would, in the model
         dtype, and cached against the ``_support_x`` array object through
         a weak reference, so a refit, ``partial_fit`` growth or
         ``load_model`` recomputes them.  They are never persisted.
@@ -250,13 +252,17 @@ class OutOfSamplePredictor(ParamsProtocol):
         d = -2.0 * (q @ self._support_centers.T) + self._c_norms[None, :]
         return np.argmin(d, axis=1).astype(np.int32)
 
-    def _assign_cross(self, m, panel_rows, rows, cols, threads) -> np.ndarray:
+    def _assign_cross(
+        self, m, support_major, rows, cols, threads, *, dtype, support_bytes
+    ) -> np.ndarray:
         """Fused cross-kernel argmin over one query block."""
         red = CrossKernelArgmin(
             m,
-            panel_rows,
+            support_major,
             self._support_selection(),
             self._c_norms,
+            dtype=dtype,
+            support_bytes=support_bytes,
             chunk_rows=rows,
             chunk_cols=cols,
             n_threads=threads,
@@ -298,19 +304,32 @@ class OutOfSamplePredictor(ParamsProtocol):
         ``||phi(q) - c_j||^2 = kappa(q, q) - 2 s_qj + ||c_j||^2`` where
         the per-query constant is dropped.  Supply ``cross_kernel``
         (``m x n_train``, ``K_c[q, i] = kappa(q, p_i)``) when the
-        estimator was fitted on a precomputed kernel matrix.
+        estimator was fitted on a precomputed kernel matrix.  Non-finite
+        ``x`` or ``cross_kernel`` entries raise
+        :class:`~repro.errors.ConfigError`.
 
-        Assignment runs through the chunked fused reduction
-        (:mod:`repro.engine.reduction`): ``chunk_rows`` bounds the live
-        query block, ``chunk_cols`` bounds the live cluster block, and
-        ``n_threads`` distributes query chunks over a work-stealing thread
-        pool.
-        Labels are bit-identical to the monolithic run for every setting.
+        Assignment runs through the fused reduction
+        (:class:`repro.engine.reduction.CrossKernelArgmin`): queries
+        stream in support-major panels of the cross-kernel, in the model
+        dtype, each reduced by the CSR SpMM as it is evaluated.  The
+        panels come from a fixed byte budget, so ``chunk_rows`` (kept for
+        the shared signature) does not shape them; ``chunk_cols`` bounds
+        the live cluster block, and ``n_threads`` distributes query
+        panels over a work-stealing thread pool.
+
+        The reference is a sequential CSR sum in the model dtype over
+        each support-major panel, as in the fit's own distance step,
+        plus the float64 centroid norm.  Labels are bit-identical for
+        every ``chunk_rows``, ``chunk_cols`` and ``n_threads``.  They
+        are bit-identical for every query batching only on the BLAS
+        kernels, and with the one-row exception, that
+        :class:`~repro.engine.reduction.CrossKernelArgmin` states.
         """
         self._require_fitted()
         rows = validate_chunk_size(chunk_rows, "chunk_rows")
         cols = validate_chunk_size(chunk_cols, "chunk_cols")
         threads = validate_n_threads(n_threads)
+        dtype = np.dtype(getattr(self, "dtype", np.float64))
         if cross_kernel is not None:
             if x is not None:
                 raise ConfigError("pass query points x or cross_kernel, not both")
@@ -319,7 +338,7 @@ class OutOfSamplePredictor(ParamsProtocol):
                     f"{type(self).__name__} predicts from explicit centers; "
                     "pass query points x instead of cross_kernel"
                 )
-            kc = as_matrix(cross_kernel, dtype=np.float64, name="cross_kernel")
+            kc = _finite(as_matrix(cross_kernel, name="cross_kernel"), "cross_kernel")
             # after partial_fit the support can outgrow the last batch's
             # labels_, so the column count comes from the selection matrix
             v = self._support_v
@@ -327,29 +346,39 @@ class OutOfSamplePredictor(ParamsProtocol):
             if kc.shape[1] != n_sup:
                 raise ShapeError(f"cross_kernel must have {n_sup} columns")
             return self._assign_cross(
-                kc.shape[0], lambda r0, r1: kc[r0:r1], rows, cols, threads
+                kc.shape[0],
+                lambda sel: np.ascontiguousarray(kc[sel].T, dtype=dtype),
+                rows,
+                cols,
+                threads,
+                dtype=dtype,
+                support_bytes=0,
             )
         if x is None:
             raise ShapeError("predict needs query points x (or a cross_kernel)")
         if self._support_centers is not None:
-            xm = as_matrix(x, dtype=np.float64, name="x")
+            xm = _finite(as_matrix(x, dtype=np.float64, name="x"), "x")
             return self._assign_centers(xm, rows, threads)
         if self._support_x is None:
             raise ShapeError(
                 "estimator was fitted on a precomputed kernel; pass cross_kernel"
             )
-        xm = as_matrix(x, dtype=getattr(self, "dtype", np.float64), name="x")
+        xm = _finite(as_matrix(x, dtype=dtype, name="x"), "x")
         kernel = getattr(self, "kernel", None)
         if kernel is None:
             raise ConfigError(f"{type(self).__name__} has no kernel to evaluate queries with")
-        sup = self._support_x
-        sup_sq = self._support_sq_norms(kernel, xm.dtype)
+        sup = as_matrix(self._support_x, dtype=dtype, name="support")
+        if xm.shape[1] != sup.shape[1]:
+            raise ShapeError(f"feature dimension mismatch: {xm.shape[1]} vs {sup.shape[1]}")
+        sup_sq = self._support_sq_norms(kernel, dtype)
         return self._assign_cross(
             xm.shape[0],
-            lambda r0, r1: kernel.pairwise(xm[r0:r1], sup, y_sq=sup_sq).astype(np.float64),
+            lambda sel: kernel.pairwise(sup, xm[sel], x_sq=sup_sq),
             rows,
             cols,
             threads,
+            dtype=dtype,
+            support_bytes=sup.nbytes,
         )
 
     def predict_batch(
@@ -365,8 +394,8 @@ class OutOfSamplePredictor(ParamsProtocol):
         """Predict an iterable of query blocks; returns concatenated labels.
 
         Each block goes through :meth:`predict` independently, so peak
-        memory is one block's cross-kernel (further bounded by
-        ``chunk_rows``) — the entry point the micro-batching
+        memory is one support-major cross-kernel panel — the entry
+        point the micro-batching
         :class:`repro.serve.PredictionService` drains its queue through.
 
         ``devices`` shards every block's rows across ``g`` simulated
@@ -431,7 +460,11 @@ class OutOfSamplePredictor(ParamsProtocol):
         out = np.empty(m, dtype=np.int32)
         for p, (lo, hi) in enumerate(shards):
             t0 = time.perf_counter()
-            out[lo:hi] = self.predict(bm[lo:hi], **kw)
+            # a one-row shard of a wider block takes a neighbour row along,
+            # so it is not a one-row call (CrossKernelArgmin's GEMV case)
+            a = lo - 1 if hi - lo == 1 and lo > 0 else lo
+            b = hi + 1 if hi - lo == 1 and lo == 0 and m > 1 else hi
+            out[lo:hi] = self.predict(bm[a:b], **kw)[lo - a : hi - a]
             if profiler is not None:
                 profiler.record(
                     Launch(
@@ -448,6 +481,13 @@ class OutOfSamplePredictor(ParamsProtocol):
                 allgather_cost(self._serve_comm_spec(), len(shards), 4.0 * m).with_phase("serve")
             )
         return out
+
+
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself, or :class:`~repro.errors.ConfigError` if it holds NaN or inf."""
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{name} holds NaN or inf values")
+    return a
 
 
 def resolve_kernel(kernel):

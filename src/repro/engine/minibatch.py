@@ -7,7 +7,8 @@ kernel-space formulation the engine runs on:
 
 * **per-batch assignment** goes through the fused reduction engine
   (:class:`~repro.engine.reduction.CrossKernelArgmin` — one
-  ``chunk_rows x chunk_cols`` panel resident, thread-parallel), against
+  support-major cross-kernel panel in the model dtype resident,
+  thread-parallel), against
   the *current* selection matrix V and centroid norms;
 * **incremental V / norm updates** use per-cluster learning-rate counts:
   with accumulated cluster weight ``S_j`` and a batch contribution
@@ -311,7 +312,8 @@ def _update_batch(
     est,
     state: OnlineState,
     *,
-    panel_fn: Callable[[int, int], np.ndarray],
+    support_major: Callable[[object], np.ndarray],
+    support_bytes: int,
     m: int,
     w_b: np.ndarray,
     diag_b: np.ndarray,
@@ -322,16 +324,21 @@ def _update_batch(
 ) -> np.ndarray:
     """Assign one batch against the current model, then fold it in.
 
-    Returns the batch labels.  ``batch_cols[i]`` is the support column
+    Returns the batch labels.  ``support_major(rows)`` is the
+    :class:`~repro.engine.reduction.CrossKernelArgmin` panel callback
+    for batch rows ``rows``, and ``support_bytes`` its ``support_bytes``;
+    ``batch_cols[i]`` is the support column
     batch row ``i`` occupies after the update; ``kbb_fn(idx)`` evaluates
     the batch-local kernel block for one cluster's members.
     """
     with trace.span("minibatch.assign", m=m):
         red = CrossKernelArgmin(
             m,
-            panel_fn,
+            support_major,
             est._support_selection(),
             state.c_norms,
+            dtype=est.dtype,
+            support_bytes=support_bytes,
             chunk_rows=est.chunk_rows,
             chunk_cols=est.chunk_cols,
             n_threads=est.n_threads,
@@ -541,7 +548,8 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
                 labels_b = _update_batch(
                     est,
                     state,
-                    panel_fn=lambda r0, r1, lo=lo: km64[lo + r0 : lo + r1, :],
+                    support_major=lambda sel, kb=km[lo:hi]: np.ascontiguousarray(kb[sel].T),
+                    support_bytes=0,
                     m=m,
                     w_b=w_b,
                     diag_b=np.asarray(np.diagonal(km64)[lo:hi], dtype=np.float64),
@@ -552,16 +560,17 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
                 )
         else:
             xb = xm[lo:hi]
-            sup_before = est._support_x
+            sup_before = as_matrix(est._support_x, dtype=xb.dtype, name="support")
             kernel = est.kernel
             sup_sq = est._support_sq_norms(kernel, xb.dtype)
             with trace.span("minibatch.batch", lo=lo, hi=hi):
                 labels_b = _update_batch(
                     est,
                     state,
-                    panel_fn=lambda r0, r1, xb=xb, sup=sup_before, sq=sup_sq: np.asarray(
-                        kernel.pairwise(xb[r0:r1], sup, y_sq=sq), dtype=np.float64
+                    support_major=lambda sel, xb=xb, sup=sup_before, sq=sup_sq: kernel.pairwise(
+                        sup, xb[sel], x_sq=sq
                     ),
+                    support_bytes=sup_before.nbytes,
                     m=m,
                     w_b=w_b,
                     diag_b=_kernel_self_diag(kernel, xb),

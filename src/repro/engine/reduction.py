@@ -28,19 +28,27 @@ thread pool by nnz-balanced groups of clusters, each reading its
 clusters' rows of K in place, so the step copies no part of K;
 ``chunk_rows`` and ``chunk_cols`` shape only the sweep's panels.
 
+Prediction streams the query axis in support-major panels of
+:data:`QUERY_PANEL_BYTES`.  Each panel is the ``n_support x rows``
+cross-kernel, evaluated support first in the model dtype; it is the CSR
+SpMM's operand as it comes out of the GEMM, and the SpMM reduces it
+while it is cache-hot.  No float64 or transposed copy of the
+cross-kernel is made (a precomputed, row-major ``cross_kernel`` is
+transposed one panel at a time).
+
 Parallelism uses *threads*, not processes: the work is NumPy and
 compiled-kernel bound (the GIL is released inside them) and the operands
 are shared read-only, so tasks are distributed over a small
-work-stealing pool (:class:`WorkStealingPool`).  The prediction
-reduction makes one copy per query chunk: the transposed
-``n_support x chunk_rows`` cross-kernel panel in C order, shared by all
-of the chunk's cluster panels.
+work-stealing pool (:class:`WorkStealingPool`).
 
 Bit-exactness contract
 ----------------------
-Labels and min-distances are **bit-for-bit identical** to the
+Fit-loop labels and min-distances are **bit-for-bit identical** to the
 full-matrix pipeline (:func:`repro.core.distances.popcorn_distances_host`)
-for every chunk shape and thread count:
+for every chunk shape and thread count.  Prediction's are bit-for-bit
+identical for every chunk shape and thread count, and, on the BLAS
+kernels named in :class:`CrossKernelArgmin`, for every query batching;
+its reference and its exceptions are stated there.  The fit loop's holds because:
 
 * the CSR SpMM (:func:`repro.sparse.spmm`) computes each output entry as
   one strictly sequential sum in the row's nonzero order, which depends
@@ -82,9 +90,11 @@ from ..sparse import CSRMatrix, factored_selection, factored_spmm, factored_spmv
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_CHUNK_COLS",
+    "QUERY_PANEL_BYTES",
     "validate_chunk_size",
     "validate_n_threads",
     "chunk_ranges",
+    "query_panel_rows",
     "csr_row_slice",
     "WorkStealingPool",
     "PairwiseReduction",
@@ -98,6 +108,28 @@ __all__ = [
 DEFAULT_CHUNK_ROWS = 2048
 #: default cluster-axis chunk when ``chunk_cols`` is requested but unsized
 DEFAULT_CHUNK_COLS = 256
+
+#: bytes of one support-major query panel of the prediction reduction,
+#: the cross-kernel block the CSR kernel reduces while it is cache-hot
+#: (the prediction counterpart of
+#: :data:`repro.engine.backends.KERNEL_PANEL_BYTES`)
+QUERY_PANEL_BYTES = 8 << 20
+#: fewest query rows per panel: narrower GEMMs run measurably slower at
+#: high feature dimension (d = 4096)
+QUERY_PANEL_MIN_ROWS = 128
+#: most query rows per panel: a float64 GEMM column past the 192nd can
+#: round differently with the panel width (OpenBLAS 0.3.31, measured)
+QUERY_PANEL_MAX_ROWS = 192
+#: fewest ``n_support x width`` entries a panel's GEMM computes:
+#: OpenBLAS 0.3.31 sends products of at most 1200 entries (at d >= 32)
+#: to small-matrix kernels, which round a column differently from a
+#: larger product (measured)
+QUERY_PANEL_MIN_ENTRIES = 2048
+#: largest support (its feature bytes) against which a one-row call is
+#: evaluated as a two-column GEMM rather than a GEMV, whose sums round
+#: differently; past it the GEMM's packing of the support costs several
+#: GEMVs (fit_highdim's 82 MB support: 3.2 ms against 0.8 ms)
+LONE_ROW_GEMM_BYTES = 4 << 20
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +175,17 @@ def chunk_ranges(n: int, chunk: Optional[int]) -> List[Tuple[int, int]]:
     if c is None or c >= n:
         return [(0, n)]
     return [(lo, min(lo + c, n)) for lo in range(0, n, c)]
+
+
+def query_panel_rows(row_bytes: int) -> int:
+    """Query rows per panel of :class:`CrossKernelArgmin`.
+
+    As many rows of ``row_bytes`` resident bytes each as fit
+    :data:`QUERY_PANEL_BYTES`, clamped to
+    ``[QUERY_PANEL_MIN_ROWS, QUERY_PANEL_MAX_ROWS]``.
+    """
+    rows = QUERY_PANEL_BYTES // max(row_bytes, 1)
+    return min(max(rows, QUERY_PANEL_MIN_ROWS), QUERY_PANEL_MAX_ROWS)
 
 
 def csr_row_slice(a: CSRMatrix, r0: int, r1: int) -> CSRMatrix:
@@ -588,45 +631,97 @@ def fused_popcorn_argmin(
 class CrossKernelArgmin(ArgminReduction):
     """Fused ``argmin_j (-2 K_c V^T + C~)`` for out-of-sample queries.
 
-    ``panel_rows(r0, r1)`` supplies the ``(r1-r0) x n_support``
-    cross-kernel block for one query chunk — a slice of a precomputed
-    matrix, or a kernel evaluation against the support set — so the full
-    ``m x n_support`` cross-kernel and the full ``m x k`` distance block
-    are both bounded by the chunk schedule.  The per-query self-kernel
-    constant is dropped (it cannot move the argmin), matching
-    :class:`repro.engine.base.OutOfSamplePredictor`.
+    The query axis streams in support-major panels of at most
+    :func:`query_panel_rows` rows (and at most ``chunk_rows``).
+    ``support_major(rows)`` returns the ``n_support x len(rows)``
+    cross-kernel block of the query rows ``rows`` (a slice or an index
+    array) as a C-order array in the model dtype ``dtype``: a kernel
+    evaluated support first, ``kernel.pairwise(support, q[rows])``, or a
+    transposed slice of a precomputed ``m x n_support`` matrix.  That
+    block is the CSR kernel's dense operand as it comes, so
+    :func:`repro.sparse.spmm` reduces it while it is cache-hot, with no
+    float64 or transposed copy; neither the ``m x n_support``
+    cross-kernel nor the ``m x k`` distance block is ever resident.  The
+    per-query self-kernel constant is dropped (it cannot move the
+    argmin), matching :class:`repro.engine.base.OutOfSamplePredictor`.
+
+    Numerics: ``s_qj`` is one sequential CSR sum, in the model dtype,
+    of ``(-2 V_jl) K[l, q]`` over cluster ``j``'s support entries in
+    V's stored order; the distance ``s_qj + C~_j`` is then formed in
+    float64, so ``min_d`` is float64.  Labels and ``min_d`` are bitwise
+    the same for every ``chunk_rows``, ``chunk_cols`` and ``n_threads``,
+    on any BLAS:
+
+    * the query panels depend on the model alone (``chunk_rows`` does
+      not shape them), so every query meets the same GEMM call;
+    * the CSR kernel sums each output column independently, and cluster
+      chunks are zero-copy row slices of V.
+
+    A query's result depends on its own row alone, so a lone row equals
+    its result in any batch, only where the BLAS GEMM gives a query's
+    column the same bits in every panel of at least two columns and
+    :data:`QUERY_PANEL_MIN_ENTRIES` entries, within the first
+    :data:`QUERY_PANEL_MAX_ROWS` columns.  Panels are at most that wide,
+    and a narrower panel is padded with copies of its last row.  This
+    holds for OpenBLAS 0.3.31's SkylakeX, Cooperlake and Sandybridge
+    kernels (measured), but not for its Haswell kernels (also used on
+    Zen), where a column's bits move with its panel width, its position
+    and the BLAS thread count; there, a query's label can depend on its
+    batch near a tie.  Even where it holds, a call with a single query
+    row (``n_rows`` of 1) against a support of more than
+    :data:`LONE_ROW_GEMM_BYTES` feature bytes (``support_bytes``, 0 for
+    a precomputed cross-kernel) is evaluated as a GEMV, for speed, and
+    may differ from the batched result in the last bits.  A one-row
+    panel of a wider call is padded like any other.
     """
 
     def __init__(
         self,
         n_rows: int,
-        panel_rows: Callable[[int, int], np.ndarray],
+        support_major: Callable[[object], np.ndarray],
         v: CSRMatrix,
         c_norms: np.ndarray,
+        *,
+        dtype,
+        support_bytes: int = 0,
         **kwargs,
     ) -> None:
         super().__init__(n_rows, v.nrows, np.float64, **kwargs)
-        self._panel_rows = panel_rows
-        self._v = v
+        dt = np.dtype(dtype)
+        self._support_major = support_major
+        self._v = v if v.dtype == dt else v.astype(dt)
         self._c = c_norms
+        # a one-row call may run as a GEMV (see the class notes); any
+        # wider call pads a one-row tail panel like every other panel
+        lone = 2 if support_bytes <= LONE_ROW_GEMM_BYTES or n_rows > 1 else 1
+        self._min_width = max(lone, -(-QUERY_PANEL_MIN_ENTRIES // max(v.ncols, 1)))
+        # per query row: its support-major column and SpMM output column
+        # in the model dtype, and its row of the float64 distance panel
+        cols = self.n_cols if self.chunk_cols is None else min(self.chunk_cols, self.n_cols)
+        self._row_bytes = (v.ncols + cols) * dt.itemsize
+        # the panels are the model's alone, never the schedule's: every
+        # query then meets the same GEMM call whatever chunk_rows,
+        # chunk_cols and n_threads are
+        self.chunk_rows = query_panel_rows((v.ncols + self.n_cols) * dt.itemsize + self.n_cols * 8)
 
     def _operand_bytes(self, rows: int) -> int:
-        # the C-order transposed copy of each query chunk's cross-kernel
-        return int(rows * self._v.ncols * self.dtype.itemsize)
+        # the support-major panel and its SpMM output
+        return int(max(rows, self._min_width) * self._row_bytes)
 
     def _row_context(self, r0: int, r1: int):
-        kc = np.asarray(self._panel_rows(r0, r1), dtype=np.float64)
-        if kc.shape != (r1 - r0, self._v.ncols):
-            raise ShapeError(
-                f"cross-kernel chunk must be {(r1 - r0, self._v.ncols)}, got {kc.shape}"
-            )
-        # one C-order (n_support, rr) operand per row chunk, shared by
-        # every cluster chunk's SpMM
-        return np.ascontiguousarray(kc.T)
+        pad = self._min_width - (r1 - r0)
+        # padding keeps every panel's GEMM on the kernels that round a
+        # column the same whatever the panel width (see the class notes)
+        rows = slice(r0, r1)
+        if pad > 0:
+            rows = np.concatenate((np.arange(r0, r1), np.full(pad, r1 - 1)))
+        block = self._support_major(rows)
+        want = (self._v.ncols, max(r1 - r0, self._min_width))
+        if block.shape != want:
+            raise ShapeError(f"support-major cross-kernel panel must be {want}, got {block.shape}")
+        return block
 
-    def _panel(self, kct, r0, r1, c0, c1) -> np.ndarray:
+    def _panel(self, block, r0, r1, c0, c1) -> np.ndarray:
         vc = self._v if c0 == 0 and c1 == self.n_cols else csr_row_slice(self._v, c0, c1)
-        kvt = spmm(vc, kct)  # (cc, rr)
-        panel = -2.0 * kvt.T
-        panel += self._c[c0:c1][None, :]
-        return panel
+        e = spmm(vc, block, alpha=-2.0)  # (cc, panel width), model dtype
+        return np.add(e[:, : r1 - r0].T, self._c[c0:c1][None, :], order="C")

@@ -96,15 +96,21 @@ class Kernel(ParamsProtocol, ABC):
     # direct path (reference)
     # ------------------------------------------------------------------
     def pairwise(
-        self, x: np.ndarray, y: np.ndarray | None = None, *, y_sq: np.ndarray | None = None
+        self,
+        x: np.ndarray,
+        y: np.ndarray | None = None,
+        *,
+        x_sq: np.ndarray | None = None,
+        y_sq: np.ndarray | None = None,
     ) -> np.ndarray:
         """Dense kernel matrix ``K[i, j] = kappa(x_i, y_j)``.
 
         Default implementation goes through the Gram matrix; kernels that
-        are not Gram-expressible must override.  ``y_sq`` optionally
-        supplies ``einsum("ij,ij->i", y, y)`` (``y`` in ``x``'s dtype) for
-        kernels that need squared norms, so a caller that evaluates many
-        query blocks against one fixed ``y`` computes them once.
+        are not Gram-expressible must override.  ``x_sq`` and ``y_sq``
+        optionally supply ``einsum("ij,ij->i", x, x)`` and the same for
+        ``y`` (both in ``x``'s dtype) for kernels that need squared norms,
+        so a caller that evaluates many blocks against one fixed operand
+        computes its norms once.  ``y_sq`` is unused when ``y`` is None.
         """
         xm = as_matrix(x, name="x")
         ym = xm if y is None else as_matrix(y, dtype=xm.dtype, name="y")
@@ -114,10 +120,9 @@ class Kernel(ParamsProtocol, ABC):
             )
         b = xm @ ym.T
         if self.needs_diag():
+            dx = np.einsum("ij,ij->i", xm, xm) if x_sq is None else x_sq
             if y is None:
-                diag = np.einsum("ij,ij->i", xm, xm)
-                return self._from_cross_gram(b, diag, diag)
-            dx = np.einsum("ij,ij->i", xm, xm)
+                return self._from_cross_gram(b, dx, dx)
             dy = np.einsum("ij,ij->i", ym, ym) if y_sq is None else y_sq
             return self._from_cross_gram(b, dx, dy)
         return self.from_gram(b)

@@ -38,9 +38,14 @@ class LaplacianKernel(Kernel):
         )
 
     def pairwise(
-        self, x: np.ndarray, y: np.ndarray | None = None, *, y_sq: np.ndarray | None = None
+        self,
+        x: np.ndarray,
+        y: np.ndarray | None = None,
+        *,
+        x_sq: np.ndarray | None = None,
+        y_sq: np.ndarray | None = None,
     ) -> np.ndarray:
-        # y_sq (squared norms for Gram-expressible kernels) has no use here
+        # x_sq/y_sq (squared norms for Gram-expressible kernels) have no use here
         xm = as_matrix(x, name="x")
         ym = xm if y is None else as_matrix(y, dtype=xm.dtype, name="y")
         if xm.shape[1] != ym.shape[1]:

@@ -1,6 +1,7 @@
 """Positive and negative fixtures for the syntactic house rules.
 
-One test class per rule (RPR101, RPR102, RPR103, RPR107, RPR108, RPR109), each
+One test class per rule (RPR101, RPR102, RPR103, RPR107, RPR108, RPR109,
+RPR110), each
 with cases that must flag and cases that must stay silent — the rule's
 contract, pinned.
 """
@@ -13,6 +14,7 @@ from repro.analysis.rules import (
     ErrorDisciplineRule,
     NondeterminismRule,
     ObsNamingRule,
+    PairwiseUpcastRule,
     PickleBanRule,
     SingleCSRKernelRule,
 )
@@ -357,5 +359,60 @@ class TestRPR109SingleCSRKernel:
             SingleCSRKernelRule(),
             "import numpy as np\nout = np.add.reduceat(x, starts)\n",
             "tests/sparse/test_foo.py",
+        )
+        assert out == []
+
+
+class TestRPR110PairwiseUpcast:
+    PATH = "src/repro/engine/foo.py"
+
+    def test_flags_astype_float64_of_pairwise(self):
+        out = _findings(
+            PairwiseUpcastRule(),
+            "import numpy as np\n"
+            "f = lambda r0, r1: kernel.pairwise(xm[r0:r1], sup, y_sq=sq).astype(np.float64)\n",
+            self.PATH,
+        )
+        assert [f.rule for f in out] == ["RPR110"]
+        assert out[0].line == 2
+
+    def test_flags_asarray_dtype_float64_of_pairwise(self):
+        out = _findings(
+            PairwiseUpcastRule(),
+            "import numpy as np\n"
+            "a = np.asarray(kernel.pairwise(xb, sup), dtype=np.float64)\n"
+            "b = numpy.ascontiguousarray(k.pairwise(x), np.float64)\n"
+            "c = k.pairwise(x).astype(dtype='float64')\n"
+            "d = np.array(k.pairwise(x), dtype=float)\n",
+            "src/repro/core/bar.py",
+        )
+        assert [f.rule for f in out] == ["RPR110"] * 4
+
+    def test_reduction_engine_is_in_scope(self):
+        out = _findings(
+            PairwiseUpcastRule(),
+            "import numpy as np\nb = k.pairwise(s, q).astype(np.float64)\n",
+            "src/repro/engine/reduction.py",
+        )
+        assert [f.rule for f in out] == ["RPR110"]
+
+    def test_model_dtype_and_non_pairwise_upcasts_pass(self):
+        out = _findings(
+            PairwiseUpcastRule(),
+            "import numpy as np\n"
+            "a = k.pairwise(s, q, x_sq=sq)\n"
+            "b = k.pairwise(s, q).astype(np.float32)\n"
+            "c = np.asarray(k.pairwise(s, q), dtype=dt)\n"
+            "d = np.asarray(np.diagonal(k.pairwise(x)), dtype=np.float64)\n"
+            "e = km.astype(np.float64)\n",
+            self.PATH,
+        )
+        assert out == []
+
+    def test_out_of_scope_paths_ignored(self):
+        out = _findings(
+            PairwiseUpcastRule(),
+            "import numpy as np\nb = k.pairwise(s, q).astype(np.float64)\n",
+            "src/repro/bench/foo.py",
         )
         assert out == []

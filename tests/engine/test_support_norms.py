@@ -1,7 +1,8 @@
 """Cached squared norms of the support set for cross-kernel prediction.
 
 Kernels that need squared norms (Gaussian, cosine, rational quadratic)
-take the support's norms through ``pairwise(..., y_sq=)``.  The
+take the support's norms through ``pairwise(support, queries, x_sq=)``,
+the support-major orientation prediction evaluates.  The
 estimator computes them once per ``_support_x`` array, so ``predict``
 stops re-reading the whole support every call, and any new support
 array (refit, ``partial_fit`` growth, ``load_model``) gets fresh norms.
@@ -12,21 +13,46 @@ import pytest
 
 from repro import PopcornKernelKMeans
 from repro.data import make_blobs
-from repro.kernels import GaussianKernel, PolynomialKernel
+from repro.kernels import (
+    GaussianKernel,
+    LaplacianKernel,
+    LinearKernel,
+    PolynomialKernel,
+    SigmoidKernel,
+)
 from repro.kernels.extra import CosineKernel, RationalQuadraticKernel
 from repro.serve.persist import load_model, save_model
 
 
 @pytest.mark.parametrize(
-    "kernel", [GaussianKernel(gamma=0.2), CosineKernel(), RationalQuadraticKernel(alpha=2.0)]
+    "kernel",
+    [
+        GaussianKernel(gamma=0.2),
+        CosineKernel(),
+        RationalQuadraticKernel(alpha=2.0),
+        PolynomialKernel(),
+        LinearKernel(),
+        SigmoidKernel(),
+        LaplacianKernel(gamma=0.3),
+    ],
 )
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pairwise_with_y_sq_is_bitwise_the_plain_call(kernel, dtype):
+    """``x_sq``/``y_sq`` are the norms the plain call computes, so
+    passing either, both, or ``x_sq`` alone for ``y=None`` changes no
+    bit; kernels without norms ignore them."""
     rng = np.random.default_rng(2)
     x = rng.standard_normal((9, 6)).astype(dtype)
     y = rng.standard_normal((31, 6)).astype(dtype)
+    x_sq = np.einsum("ij,ij->i", x, x)
     y_sq = np.einsum("ij,ij->i", y, y)
-    np.testing.assert_array_equal(kernel.pairwise(x, y, y_sq=y_sq), kernel.pairwise(x, y))
+    plain = kernel.pairwise(x, y)
+    np.testing.assert_array_equal(kernel.pairwise(x, y, y_sq=y_sq), plain)
+    np.testing.assert_array_equal(kernel.pairwise(x, y, x_sq=x_sq), plain)
+    np.testing.assert_array_equal(kernel.pairwise(x, y, x_sq=x_sq, y_sq=y_sq), plain)
+    np.testing.assert_array_equal(kernel.pairwise(x, x_sq=x_sq), kernel.pairwise(x))
+    # the support-major orientation prediction uses
+    np.testing.assert_array_equal(kernel.pairwise(y, x, x_sq=y_sq), kernel.pairwise(y, x))
 
 
 def _fitted(dtype=np.float32, kernel=None):

@@ -20,7 +20,7 @@ from repro.core import OnTheFlyKernelKMeans
 from repro.data import make_blobs
 from repro.engine.base import OutOfSamplePredictor
 from repro.errors import ConfigError, ShapeError
-from repro.estimators import estimator_name, make_estimator
+from repro.estimators import available_estimators, estimator_name, make_estimator
 from repro.kernels import PolynomialKernel
 
 ALL_PREDICTORS = (
@@ -134,6 +134,33 @@ class TestUnifiedContract:
         match = "cross_kernel" if cls is SpectralKernelKMeans else "mismatch: 7 vs 5"
         with pytest.raises(ShapeError, match=match):
             est.predict(np.zeros((3, 7)))
+
+    @pytest.mark.parametrize("name", [n for n in available_estimators() if n != "spectral"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_queries_raise_config_error(self, name, bad, blobs64):
+        """Every registered estimator that predicts from points rejects a
+        NaN or inf query, the error the serving core gives such a row."""
+        x, q, k = blobs64
+        est = make_estimator(name, n_clusters=k, seed=0).fit(x)
+        q = q[:3].copy()
+        q[1, 2] = bad
+        with pytest.raises(ConfigError, match="NaN or inf"):
+            est.predict(q)
+
+    @pytest.mark.parametrize("name", ["popcorn", "spectral"])
+    def test_non_finite_cross_kernel_raises_config_error(self, name, blobs64):
+        x, _, k = blobs64
+        km = PolynomialKernel().pairwise(x)
+        est = make_estimator(name, n_clusters=k, seed=0)
+        # spectral builds its kernel from x and predicts through cross_kernel
+        if name == "spectral":
+            est.fit(x)
+        else:
+            est.fit(kernel_matrix=km)
+        ck = km[:3].copy()
+        ck[0, 4] = np.nan
+        with pytest.raises(ConfigError, match="NaN or inf"):
+            est.predict(cross_kernel=ck)
 
 
 class TestSelfConsistency:
