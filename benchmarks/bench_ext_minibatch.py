@@ -3,10 +3,10 @@
 The online engine (``repro.engine.minibatch``) folds arriving batches
 into the selection matrix and centroid norms with per-cluster
 learning-rate counts instead of refitting from scratch.  The registry
-entry compares clustering quality and update throughput against the
-full-batch fit; the shim times a real streamed fit and re-asserts the
-cold-start contract — the first full-data ``partial_fit`` call is one
-full-fit iteration, bit for bit.
+entry compares clustering quality against the full-batch fit; the shim
+times a real streamed fit and re-asserts the cold-start contract — the
+first full-data ``partial_fit`` call is one full-fit iteration, bit for
+bit.
 """
 
 import numpy as np

@@ -1,13 +1,13 @@
-"""Extension — registry-driven grid-search throughput (shim).
+"""Extension — registry-driven grid search (shim).
 
 The registry entry sweeps the Gaussian bandwidth of an exact kernel
 k-means over the concentric-circles workload through
 :class:`repro.select.GridSearchKernelKMeans` (clone-based candidates,
-``make_estimator`` construction, held-out ARI scoring) and tracks
-``throughput.model_selection_fits_per_s`` through the perf gate.  The
-shim re-runs the full-mode sweep, then times one small search with
-pytest-benchmark and verifies the selection contract: the search refits
-its winner and predicts with it.
+``make_estimator`` construction, held-out ARI scoring) and gates the
+winner's ARI (``quality.model_selection_best_ari``); its check pins the
+winning bandwidth.  The shim re-runs the full-mode sweep, then times one
+small search with pytest-benchmark and verifies the selection contract:
+the search refits its winner and predicts with it.
 """
 
 import numpy as np

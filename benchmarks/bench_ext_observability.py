@@ -2,7 +2,7 @@
 
 ``repro.obs`` records hierarchical wall-clock spans and process-wide
 metrics behind a disabled-by-default gate.  The registry entry pins the
-span-tree shape of a fixed workload and measures the tracing overhead;
+span-tree shape of a fixed workload and its repeat-fit determinism;
 the shim benchmarks the *untraced* fit (the default everyone else pays)
 and re-asserts the per-fit span contract on a traced run.
 """

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DTypeError, ShapeError
+from .errors import ConfigError, DTypeError, ShapeError
 
 ArrayLike = Union[np.ndarray, list, tuple]
 
@@ -81,6 +81,18 @@ def as_index_vector(a: ArrayLike, *, name: str = "indices") -> np.ndarray:
         else:
             raise DTypeError(f"{name} must be integral, got dtype={arr.dtype}")
     return np.ascontiguousarray(arr, dtype=INDEX_DTYPE)
+
+
+def check_finite(a: np.ndarray, *, name: str = "array") -> np.ndarray:
+    """``a`` itself, or :class:`~repro.errors.ConfigError` if it holds NaN or inf.
+
+    The one finiteness check the public entry points share (``fit``,
+    ``partial_fit``, ``predict``, served rows): a non-finite entry
+    otherwise turns into silent garbage labels deep inside a fit.
+    """
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{name} holds NaN or inf values")
+    return a
 
 
 def check_square(a: np.ndarray, *, name: str = "matrix") -> np.ndarray:

@@ -16,7 +16,7 @@ RPR105   fit-bearing estimators registered; factory layers construct
 RPR106   ``_guarded_by`` lock discipline (mutations under the lock, no
          await/blocking calls while holding one)
 RPR107   span/metric names dotted-lowercase, one kind per name
-RPR108   bench probes deterministic (no wall clock, no unseeded RNG)
+RPR108   bench experiments deterministic (no clock, no unseeded RNG)
 RPR109   one CSR kernel: no ``np.add.reduceat`` segmented sums
 RPR110   no float64 upcast of a ``pairwise(...)`` cross-kernel in
          engine//core/ hot paths

@@ -1,15 +1,15 @@
-"""RPR108 — nondeterminism guard for bench probes.
+"""RPR108 — nondeterminism guard for bench experiments.
 
-The CI perf gate is *blocking* on the modeled metrics (``time.*``,
-``comm.*``, ``quality.*``), which is only sound because every probe in
-``src/repro/bench/experiments/`` is bit-deterministic: seeded RNG,
-modeled clocks.  One ``time.time()`` or unseeded ``default_rng()``
-sneaking into a probe turns the blocking gate flaky.  This rule flags,
-inside the probe package only:
+The CI perf gate compares every metric the experiments in
+``src/repro/bench/experiments/`` report, which is only sound because
+each of them is bit-deterministic: seeded RNG, modeled clocks.  One
+clock read or unseeded ``default_rng()`` sneaking into an experiment
+turns the blocking gate flaky.  Measured wall-clock numbers belong to
+``hostbench/``.  This rule flags, inside the experiments package only:
 
-* wall-clock reads that feed values (``time.time``/``time.time_ns``,
-  ``datetime.now``/``utcnow``) — ``time.perf_counter`` stays legal
-  because the measured wall-clock metrics are warn-only in CI;
+* clock reads: ``time.time``/``time_ns``, ``time.perf_counter``/
+  ``perf_counter_ns``, ``time.monotonic``, ``time.process_time`` and
+  ``datetime.now``/``utcnow``;
 * unseeded RNG: ``np.random.default_rng()`` with no seed, the legacy
   ``np.random.*`` global generator, and the stdlib ``random`` module.
 """
@@ -24,11 +24,15 @@ from ._util import dotted_name
 
 __all__ = ["NondeterminismRule"]
 
-_PROBE_PREFIX = "src/repro/bench/experiments/"
+_EXPERIMENTS_PREFIX = "src/repro/bench/experiments/"
 
 _WALL_CLOCKS = {
     "time.time",
     "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.process_time",
     "datetime.now",
     "datetime.utcnow",
     "datetime.datetime.now",
@@ -48,18 +52,19 @@ _STDLIB_RANDOM = {
 
 class NondeterminismRule(Rule):
     rule_id = "RPR108"
-    title = "bench probes must be deterministic"
+    title = "bench experiments must be deterministic"
     rationale = (
-        "Probes under src/repro/bench/experiments/ feed the blocking CI "
-        "perf gate over modeled metrics, which is only sound when probes "
-        "are bit-deterministic.  time.time()/datetime.now() and unseeded "
+        "Experiments under src/repro/bench/experiments/ feed the blocking "
+        "CI perf gate, which compares every metric they report and is only "
+        "sound when they are bit-deterministic.  Clock reads (time.time, "
+        "perf_counter, monotonic, process_time, datetime.now) and unseeded "
         "RNG (np.random.default_rng() with no seed, the np.random global "
-        "generator, stdlib random) are flagged there.  time.perf_counter "
-        "stays legal: measured wall-clock metrics are warn-only in CI."
+        "generator, stdlib random) are flagged there.  Measured wall-clock "
+        "numbers belong to hostbench/."
     )
 
     def check(self, module: SourceModule) -> Iterable[Finding]:
-        if module.tree is None or not module.path.startswith(_PROBE_PREFIX):
+        if module.tree is None or not module.path.startswith(_EXPERIMENTS_PREFIX):
             return ()
         out: List[Finding] = []
         for node in ast.walk(module.tree):
@@ -73,9 +78,9 @@ class NondeterminismRule(Rule):
                     self.finding(
                         module,
                         node.lineno,
-                        f"{name}() in a bench probe; probes feed the "
-                        "blocking deterministic perf gate — use modeled "
-                        "clocks (or perf_counter for warn-only metrics)",
+                        f"{name}() in a bench experiment; experiments feed "
+                        "the blocking deterministic perf gate — use modeled "
+                        "clocks (measured timings belong to hostbench/)",
                     )
                 )
                 continue
@@ -86,8 +91,8 @@ class NondeterminismRule(Rule):
                         self.finding(
                             module,
                             node.lineno,
-                            "unseeded default_rng() in a bench probe; pass "
-                            "an explicit seed so the probe is reproducible",
+                            "unseeded default_rng() in a bench experiment; "
+                            "pass an explicit seed so it is reproducible",
                         )
                     )
             elif (
@@ -100,8 +105,8 @@ class NondeterminismRule(Rule):
                     self.finding(
                         module,
                         node.lineno,
-                        f"global numpy RNG {name}() in a bench probe; use a "
-                        "seeded np.random.default_rng(seed) generator",
+                        f"global numpy RNG {name}() in a bench experiment; "
+                        "use a seeded np.random.default_rng(seed) generator",
                     )
                 )
             elif (
@@ -113,8 +118,8 @@ class NondeterminismRule(Rule):
                     self.finding(
                         module,
                         node.lineno,
-                        f"stdlib {name}() in a bench probe; use a seeded "
-                        "np.random.default_rng(seed) generator",
+                        f"stdlib {name}() in a bench experiment; use a "
+                        "seeded np.random.default_rng(seed) generator",
                     )
                 )
         return out

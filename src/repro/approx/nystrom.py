@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh
 
-from .._typing import as_matrix
+from .._typing import as_matrix, check_finite
 from ..baselines.lloyd import LloydKMeans
 from ..engine.base import BaseKernelKMeans, shared_params
 from ..errors import ConfigError
@@ -170,7 +170,7 @@ class NystromKernelKMeans(BaseKernelKMeans):
         )
         from ..distributed.sharding import check_shard_count
 
-        xm = as_matrix(x, dtype=np.float64, name="x")
+        xm = check_finite(as_matrix(x, dtype=np.float64, name="x"), name="x")
         rng = self._rng()
         n = xm.shape[0]
         check_shard_count(n, self._shard_devices())

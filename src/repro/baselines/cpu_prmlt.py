@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix, check_labels
+from .._typing import as_matrix, check_finite, check_labels
 from ..config import DEFAULT_CONFIG
 from ..core.assignment import ConvergenceTracker, objective_value
 from ..core.distances import distance_matrix_reference
@@ -100,12 +100,15 @@ class PRMLTKernelKMeans(OutOfSamplePredictor):
 
         xm = None
         if kernel_matrix is not None:
-            km = as_matrix(kernel_matrix, dtype=np.float64, name="kernel matrix")
+            km = check_finite(
+                as_matrix(kernel_matrix, dtype=np.float64, name="kernel matrix"),
+                name="kernel matrix",
+            )
             n = km.shape[0]
             with prof.phase("kernel_matrix"):
                 prof.record(cpu_kernel_transform_cost(self.cpu, n))
         else:
-            xm = as_matrix(x, dtype=np.float64, name="x")
+            xm = check_finite(as_matrix(x, dtype=np.float64, name="x"), name="x")
             n, d = xm.shape
             with prof.phase("kernel_matrix"):
                 km = dense_kernel_matrix(xm, self.kernel)

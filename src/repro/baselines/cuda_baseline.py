@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix
+from .._typing import as_matrix, check_finite
 from ..config import DEFAULT_CONFIG
 from ..engine.backends import DistanceStep, EngineState
 from ..engine.base import BaseKernelKMeans, shared_params
@@ -114,13 +114,16 @@ class BaselineCUDAKernelKMeans(BaseKernelKMeans):
 
         # ---- kernel matrix: always GEMM + elementwise transform --------
         if kernel_matrix is not None:
-            km = as_matrix(kernel_matrix, dtype=self.dtype, name="kernel_matrix")
+            km = check_finite(
+                as_matrix(kernel_matrix, dtype=self.dtype, name="kernel_matrix"),
+                name="kernel_matrix",
+            )
             if km.shape[0] != km.shape[1]:
                 raise ShapeError("kernel_matrix must be square")
             state.backend.load_kernel_matrix(state, km)
             xm = None
         else:
-            xm = as_matrix(x, dtype=self.dtype, name="x")
+            xm = check_finite(as_matrix(x, dtype=self.dtype, name="x"), name="x")
             state.backend.compute_kernel_matrix(state, xm, self.kernel, method="gemm")
 
         n = state.n

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix, check_labels
+from .._typing import as_matrix, check_finite, check_labels
 from ..config import DEFAULT_CONFIG
 from ..engine.base import OutOfSamplePredictor, shared_params
 from ..errors import ConfigError
@@ -120,7 +120,7 @@ class ElkanKMeans(OutOfSamplePredictor):
         )
         from ..distributed.sharding import check_shard_count
 
-        xm = as_matrix(x, dtype=np.float64, name="x")
+        xm = check_finite(as_matrix(x, dtype=np.float64, name="x"), name="x")
         n, d = xm.shape
         k = self.n_clusters
         if k > n:

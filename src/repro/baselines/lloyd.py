@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix, check_labels
+from .._typing import as_matrix, check_finite, check_labels
 from ..config import DEFAULT_CONFIG
 from ..engine.base import OutOfSamplePredictor, shared_params
 from ..errors import ConfigError
@@ -110,7 +110,7 @@ class LloydKMeans(OutOfSamplePredictor):
         )
         from ..distributed.sharding import check_shard_count
 
-        xm = as_matrix(x, dtype=np.float64, name="x")
+        xm = check_finite(as_matrix(x, dtype=np.float64, name="x"), name="x")
         n, d = xm.shape
         k = self.n_clusters
         if k > n:

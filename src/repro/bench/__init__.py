@@ -1,31 +1,34 @@
 """repro.bench — the registry-driven benchmark subsystem.
 
 Reproduces the paper's evaluation (Sec. 5) as declarative registry
-entries instead of 17 stand-alone scripts:
+entries instead of stand-alone scripts:
 
 ``repro.bench.registry``
     :class:`ExperimentSpec` + :func:`register_experiment` — each figure,
-    table, and ablation declares its datasets, k-sweep, backends, row
-    producer, shape ``check``, and executed ``probe``.
+    table, and ablation declares its datasets, k-sweep, row producer,
+    and shape ``check``.
 ``repro.bench.runner``
     Executes any subset (optionally process-parallel), writes the legacy
-    ``benchmarks/results/<exp_id>.csv`` files unchanged, runs every probe
-    through :func:`repro.harness.run_trials`, and consolidates one
-    schema-versioned ``BENCH_results.json``.
+    ``benchmarks/results/<exp_id>.csv`` files unchanged, and consolidates
+    one schema-versioned ``BENCH_results.json``.
 ``repro.bench.artifact``
-    The JSON schema (version 1): per-experiment rows, tracked metrics,
-    probe phase timings, environment + device-model metadata.
+    The JSON schema (version 2): per-experiment rows, tracked metrics,
+    environment + device-model metadata.
 ``repro.bench.compare``
     The perf-regression gate behind ``repro-bench compare``: flags any
     tracked metric that moved in its worse direction past a threshold.
 ``repro.bench.cli``
     The ``repro-bench`` console script (``list`` / ``run`` / ``compare``).
 
+Every tracked metric is modeled on the simulated device or counted on a
+seeded execution, never read off a clock; measured host wall-clock
+numbers live in ``hostbench/``.
+
 Quickstart::
 
     repro-bench list
     repro-bench run --all --out BENCH_results.json
-    repro-bench run --only fig5 --quick --backend device --chunk-rows 4096
+    repro-bench run --only fig5 --quick
     repro-bench compare baseline.json BENCH_results.json --threshold 0.2
 """
 

@@ -1,33 +1,25 @@
 """Schema-versioned JSON benchmark artifact (``BENCH_results.json``).
 
-Schema (version 1)
+Schema (version 2)
 ------------------
 ::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "generated_by": "repro.bench",
       "repro_version": "<package version>",
-      "config": {"quick": bool, "backend": str, "chunk_rows": int|null,
-                 "n_trials": int, "base_seed": int},
+      "config": {"quick": bool, "base_seed": int},
       "environment": {"python": str, "implementation": str,
                       "platform": str, "machine": str,
-                      "numpy": str, "scipy": str},
+                      "numpy": str, "scipy": str, "cpu_count": str},
       "device_model": {"name": str, "peak_fp32_gflops": float,
                        "mem_bw_gbps": float, "mem_capacity_gb": float,
                        "pcie_bw_gbps": float},
-      "total_wall_time_s": float,
       "experiments": {
         "<exp_id>": {
           "title": str, "group": str,
           "headers": [str, ...], "rows": [[...], ...],
-          "metrics": {"<kind>.<name>": float, ...},
-          "probe": {"n_trials": int,
-                    "total_time": {"mean": float, "std": float,
-                                   "min": float, "max": float},
-                    "objective": {...}, "n_iter": {...},
-                    "phases": {"<phase>": {...}, ...}} | null,
-          "wall_time_s": float
+          "metrics": {"<kind>.<name>": float, ...}
         }, ...
       }
     }
@@ -35,13 +27,15 @@ Schema (version 1)
 Metric names follow a ``<kind>.<name>`` convention that encodes the
 regression direction:
 
-* ``time.*``, ``error.*`` and ``comm.*`` — lower is better (a rise is a
-  regression);
+* ``time.*``, ``error.*``, ``comm.*`` and ``mem.*`` — lower is better (a
+  rise is a regression);
 * ``throughput.*`` and ``quality.*`` — higher is better (a drop is a
   regression).
 
-The executed probe's measured ``total_time.mean`` is additionally
-tracked by the regression gate as ``time.probe_total_mean_s``.
+Every metric is modeled on the simulated device or counted on a seeded
+execution; none is a wall-clock reading, so two runs of one tree on one
+machine write identical metrics and the gate compares all of them.  Measured host
+numbers belong to ``hostbench/``.
 """
 
 from __future__ import annotations
@@ -49,24 +43,22 @@ from __future__ import annotations
 import json
 import os
 import platform
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import ConfigError
 from ..gpu import DeviceSpec
-from ..harness import ExperimentResult as TrialResult
 
 __all__ = [
     "SCHEMA_VERSION",
     "environment_metadata",
     "device_metadata",
-    "trial_record",
     "metric_lower_is_better",
     "write_artifact",
     "load_artifact",
     "tracked_metrics",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: metric-name prefix -> True when a *rise* of the value is a regression
 _KIND_LOWER_IS_BETTER = {
@@ -89,8 +81,7 @@ def metric_lower_is_better(name: str) -> bool:
         raise ConfigError(f"metric {name!r} has unknown kind {kind!r}; known: {known}") from None
 
 
-#: BLAS/OpenMP thread-count knobs recorded alongside measured numbers —
-#: host-side timings (reduction engine, tiled pipeline) depend on them.
+#: BLAS/OpenMP thread-count knobs recorded for provenance.
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -104,8 +95,7 @@ def environment_metadata() -> Dict[str, str]:
     """Interpreter/platform/library versions, for artifact provenance.
 
     Includes the machine's CPU count and any BLAS/OpenMP thread-count
-    environment variables that were set: measured host-side timings are
-    meaningless without the thread budget they ran under.
+    environment variables that were set.
     """
     import numpy
     import scipy
@@ -134,21 +124,6 @@ def device_metadata(spec: DeviceSpec) -> Dict[str, object]:
         "mem_bw_gbps": spec.mem_bw_gbps,
         "mem_capacity_gb": spec.mem_capacity_gb,
         "pcie_bw_gbps": spec.pcie_bw_gbps,
-    }
-
-
-def _stats(ts) -> Dict[str, float]:
-    return {"mean": ts.mean, "std": ts.std, "min": ts.min, "max": ts.max}
-
-
-def trial_record(res: TrialResult) -> Dict[str, object]:
-    """Serialise a :func:`repro.harness.run_trials` result for the artifact."""
-    return {
-        "n_trials": res.n_trials,
-        "total_time": _stats(res.total_time),
-        "objective": _stats(res.objective),
-        "n_iter": _stats(res.n_iter),
-        "phases": {name: _stats(ts) for name, ts in sorted(res.phase_times.items())},
     }
 
 
@@ -188,10 +163,5 @@ def load_artifact(path: str) -> Dict[str, object]:
 
 
 def tracked_metrics(record: Dict[str, object]) -> Dict[str, float]:
-    """The gated scalars of one experiment record: declared metrics plus
-    the executed probe's measured mean total time."""
-    metrics = dict(record.get("metrics") or {})
-    probe: Optional[Dict[str, object]] = record.get("probe")
-    if probe:
-        metrics["time.probe_total_mean_s"] = float(probe["total_time"]["mean"])
-    return metrics
+    """The gated scalars of one experiment record: its declared metrics."""
+    return dict(record.get("metrics") or {})

@@ -3,9 +3,8 @@
 Usage::
 
     repro-bench list
-    repro-bench run --all [--quick] [--backend device] [--chunk-rows N]
-                    [--jobs N] [--trials N] [--out BENCH_results.json]
-                    [--results-dir DIR] [--no-csv] [--no-probes]
+    repro-bench run --all [--quick] [--jobs N] [--seed N]
+                    [--out BENCH_results.json] [--results-dir DIR] [--no-csv]
     repro-bench run --only fig5 --only fig7
     repro-bench compare old.json new.json --threshold 0.2
 
@@ -52,28 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--quick",
         action="store_true",
-        help="CI mode: subset the sweeps and trial counts, skip full-grid shape checks",
-    )
-    run_p.add_argument(
-        "--backend",
-        default="auto",
-        choices=("auto", "host", "device", "sharded"),
-        help="backend forwarded to the executed probes",
-    )
-    run_p.add_argument(
-        "--chunk-rows",
-        dest="chunk_rows",
-        type=int,
-        default=None,
-        metavar="R",
-        help="row granularity (chunk_rows) forwarded to the executed Popcorn probes",
-    )
-    run_p.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        metavar="N",
-        help="multi-trial protocol width (default: 4, or 2 with --quick)",
+        help="CI mode: subset the sweeps, skip full-grid shape checks",
     )
     run_p.add_argument(
         "--jobs",
@@ -102,9 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         "subset of the canonical full-mode CSVs, so quick skips them by default)",
     )
     run_p.add_argument(
-        "--no-probes", action="store_true", help="skip the executed run_trials probes"
+        "--seed", type=int, default=0, help="base seed for the executed workloads"
     )
-    run_p.add_argument("--seed", type=int, default=0, help="base seed for the probes")
     run_p.add_argument(
         "--trace-out",
         dest="trace_out",
@@ -131,29 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=0.2,
-        help="fractional worsening that counts as a regression (default 0.2)",
+        help="fractional worsening that counts as a regression (default 0.2; "
+        "0 flags any change)",
     )
     cmp_p.add_argument(
         "--only-changed",
         action="store_true",
         help="print only regressed/improved metrics",
-    )
-    cmp_p.add_argument(
-        "--metrics",
-        action="append",
-        default=None,
-        metavar="PREFIX",
-        help="gate only metrics starting with PREFIX (repeatable; comma lists "
-        "accepted; e.g. --metrics time.,throughput.,comm.)",
-    )
-    cmp_p.add_argument(
-        "--exclude",
-        action="append",
-        default=None,
-        metavar="PREFIX",
-        help="never gate metrics starting with PREFIX (repeatable; wins over "
-        "--metrics; e.g. --exclude time.probe for machine-dependent probe "
-        "wall-times)",
     )
     return p
 
@@ -184,25 +145,18 @@ def _cmd_list() -> int:
             s.group,
             ",".join(s.datasets) if s.datasets else "-",
             ",".join(map(str, s.k_values)) if s.k_values else "-",
-            "yes" if s.probe is not None else "no",
             s.title,
         )
         for s in all_experiments()
     ]
-    print(format_table(["id", "group", "datasets", "k", "probe", "title"], rows))
+    print(format_table(["id", "group", "datasets", "k", "title"], rows))
     print(f"\n{len(rows)} experiments registered")
     return 0
 
 
 def _cmd_run(args) -> int:
     ids = _selected_ids(args)
-    cfg = RunConfig(
-        quick=args.quick,
-        backend=args.backend,
-        chunk_rows=args.chunk_rows,
-        n_trials=args.trials,
-        base_seed=args.seed,
-    )
+    cfg = RunConfig(quick=args.quick, base_seed=args.seed)
     if args.no_csv and args.csv:
         raise ConfigError("--csv and --no-csv are mutually exclusive")
     # quick rows subset the paper grids, so don't clobber the canonical
@@ -221,7 +175,6 @@ def _cmd_run(args) -> int:
         results_dir=args.results_dir,
         jobs=args.jobs,
         write_csv=write_csv,
-        run_probes=not args.no_probes,
     )
     if args.trace_out:
         from ..obs import trace
@@ -241,25 +194,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _split_prefixes(chunks) -> Optional[tuple]:
-    if not chunks:
-        return None
-    out = []
-    for chunk in chunks:
-        out.extend(x.strip() for x in chunk.split(",") if x.strip())
-    return tuple(out) or None
-
-
 def _cmd_compare(args) -> int:
     old = load_artifact(args.old)
     new = load_artifact(args.new)
-    cmp = compare_artifacts(
-        old,
-        new,
-        threshold=args.threshold,
-        include=_split_prefixes(args.metrics),
-        exclude=_split_prefixes(args.exclude) or (),
-    )
+    cmp = compare_artifacts(old, new, threshold=args.threshold)
     print(format_comparison(cmp, only_changed=args.only_changed))
     return 0 if cmp.ok else 1
 

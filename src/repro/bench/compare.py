@@ -4,13 +4,15 @@
 tracked metric (see :mod:`repro.bench.artifact`) whose value moved in
 the *worse* direction by more than the threshold fraction, prints a
 readable table, and exits nonzero when anything regressed — the CI
-contract every perf PR is judged against.
+contract every perf PR is judged against.  Every tracked metric is
+deterministic, so the gate compares all of them, and ``--threshold 0``
+flags any change at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigError
 from ..reporting import format_table
@@ -66,41 +68,16 @@ def _worsening(metric: str, old: float, new: float) -> float:
     return change if metric_lower_is_better(metric) else -change
 
 
-def _metric_selected(
-    metric: str, include: Optional[Tuple[str, ...]], exclude: Tuple[str, ...]
-) -> bool:
-    """Prefix filter for the gated metric set.
-
-    ``include=None`` selects everything; otherwise a metric must start
-    with one of the include prefixes.  ``exclude`` prefixes always win —
-    this is how CI keeps the deterministic modeled metrics blocking while
-    machine-dependent probe wall-times stay warn-only.
-    """
-    if any(metric.startswith(p) for p in exclude):
-        return False
-    if include is None:
-        return True
-    return any(metric.startswith(p) for p in include)
-
-
-def compare_artifacts(
-    old: Dict,
-    new: Dict,
-    threshold: float = 0.2,
-    *,
-    include: Optional[Tuple[str, ...]] = None,
-    exclude: Tuple[str, ...] = (),
-) -> Comparison:
+def compare_artifacts(old: Dict, new: Dict, threshold: float = 0.2) -> Comparison:
     """Compare every tracked metric present in both artifacts.
 
     A metric regresses when it moves in its worse direction (rise for
-    ``time.*``/``error.*``/``comm.*``, drop for
+    ``time.*``/``error.*``/``comm.*``/``mem.*``, drop for
     ``throughput.*``/``quality.*``) by more than ``threshold`` as a
-    fraction of the old value.  ``include`` / ``exclude`` are metric-name
-    prefix filters (see :func:`_metric_selected`).
+    fraction of the old value.
     """
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
+    if threshold < 0:
+        raise ConfigError(f"threshold must be non-negative, got {threshold}")
     old_exps: Dict[str, Dict] = old["experiments"]
     new_exps: Dict[str, Dict] = new["experiments"]
     deltas: List[MetricDelta] = []
@@ -112,8 +89,6 @@ def compare_artifacts(
         new_metrics = tracked_metrics(new_rec)
         for metric, old_val in old_metrics.items():
             if metric not in new_metrics:
-                continue
-            if not _metric_selected(metric, include, exclude):
                 continue
             new_val = float(new_metrics[metric])
             worse = _worsening(metric, float(old_val), new_val)

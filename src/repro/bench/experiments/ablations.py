@@ -11,7 +11,6 @@ from ...errors import check
 from ...gpu import A100_80GB, H100_80GB, V100_32GB, cost
 from ...kernels import model_gram_times, tune_threshold
 from ..registry import ExperimentResult, ExperimentSpec, RunConfig, register_experiment
-from .common import popcorn_probe
 
 THRESHOLD_GRID_N = (10000, 20000, 50000)
 THRESHOLD_RATIOS = (1, 3, 10, 30, 100, 300, 1000)
@@ -65,7 +64,7 @@ def check_ablation_dense_vs_sparse(result: ExperimentResult) -> None:
     # the sparse advantage grows linearly-ish with k
     check(
         advantages[(50000, 100)] > advantages[(50000, 10)] * 3,
-        'probe invariant violated: advantages[(50000, 100)] > advantages[(50000, 10)] * 3',
+        'invariant violated: advantages[(50000, 100)] > advantages[(50000, 10)] * 3',
     )
 
 
@@ -104,7 +103,7 @@ def check_ablation_norms(result: ExperimentResult) -> None:
     # the advantage grows with k (that's the whole point of Sec. 3.3)
     check(
         advantages[-1] > advantages[0],
-        'probe invariant violated: advantages[-1] > advantages[0]',
+        'invariant violated: advantages[-1] > advantages[0]',
     )
 
 
@@ -146,11 +145,11 @@ def check_ablation_threshold(result: ExperimentResult) -> None:
     t_best = result.aux["tuned_total"][A100_80GB.name][1]
     check(
         t_best <= _total_time_for_threshold(A100_80GB, 0.5),
-        'probe invariant violated: t_best <= _total_time_for_threshold(A100_80GB, 0.5)',
+        'invariant violated: t_best <= _total_time_for_threshold(A100_80GB, 0.5)',
     )
     check(
         t_best <= _total_time_for_threshold(A100_80GB, 10**9),
-        'probe invariant violated: t_best <= _total_time_for_threshold(A100_80GB, 10**9)',
+        'invariant violated: t_best <= _total_time_for_threshold(A100_80GB, 10**9)',
     )
 
 
@@ -162,7 +161,6 @@ register_experiment(
         run=run_ablation_dense_vs_sparse,
         k_values=(10, 50, 100),
         check=check_ablation_dense_vs_sparse,
-        probe=popcorn_probe,
         tags=("sparse", "spmm"),
     )
 )
@@ -174,7 +172,6 @@ register_experiment(
         run=run_ablation_norms,
         k_values=(10, 50, 100, 500),
         check=check_ablation_norms,
-        probe=popcorn_probe,
         tags=("norms", "spmv"),
     )
 )
@@ -185,7 +182,6 @@ register_experiment(
         group="ablation",
         run=run_ablation_threshold,
         check=check_ablation_threshold,
-        probe=popcorn_probe,
         tags=("dispatch", "tuning"),
     )
 )

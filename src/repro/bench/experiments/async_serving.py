@@ -1,7 +1,6 @@
 """Registry entry for the async serving front door (``ext_async_serving``).
 
-Three deterministic claims gate this experiment, one measured series
-rides along warn-only:
+Three deterministic claims gate this experiment:
 
 1. **Coalescing** — a synchronous burst of ``u`` unique queries, each
    issued ``r`` times, reaches the backend as exactly ``u`` rows: the
@@ -21,17 +20,13 @@ rides along warn-only:
    every machine.  ``throughput.async_modeled_saturation_qps`` and
    ``quality.async_scaling_efficiency`` gate on it.
 
-The measured half — open-loop latency quantiles from
-:func:`repro.serve.frontdoor.open_loop_load` — lands in
-``time.async_p50_ms`` / ``time.async_p99_ms``, which CI lists warn-only
-like every other wall-clock probe.  The CSV doubles as the SLO-curve
-artifact CI uploads.
+The door's measured latency is hostbench's ``aserve_p50_ms`` /
+``aserve_p99_ms``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import numpy as np
 
@@ -49,8 +44,6 @@ SHED_BOUND = 8
 #: the worker sweep instead of pinning every point ingress-limited
 AUTOSCALE_SHAPE = dict(n_support=1_000_000, dim=64, n_clusters=16, batch_size=64)
 AUTOSCALE_WORKERS = (1, 2, 4, 8, 16, 32)
-LOAD_QPS = (500.0, 4000.0)
-LOAD_REQUESTS = (96, 192)  # quick, full
 
 
 def _fitted_model(cfg: RunConfig):
@@ -106,28 +99,11 @@ async def _shed_phase(model, queries: np.ndarray, bound: int):
     return stats, shed
 
 
-async def _load_phase(model, queries: np.ndarray, qps_points, workers: int):
-    """One open-loop run per offered-qps point; returns LoadReports."""
-    from ...serve import AsyncPredictionServer, ServeConfig
-    from ...serve.frontdoor import open_loop_load
-
-    cfg = ServeConfig(
-        batch_size=32, max_delay_ms=1.0, n_workers=workers,
-        queue_bound=4096, cache_size=0,
-    )
-    reports = []
-    for qps in qps_points:
-        async with AsyncPredictionServer(model, cfg.clone()) as server:
-            reports.append(await open_loop_load(server, queries, qps))
-    return reports
-
-
 def run_ext_async_serving(cfg: RunConfig) -> ExperimentResult:
     from ...serve.autoscale import saturation_curve, workers_for
 
     _, d, _ = ASYNC_WORKLOAD
     u = COALESCE_UNIQUE[0] if cfg.quick else COALESCE_UNIQUE[1]
-    m_load = LOAD_REQUESTS[0] if cfg.quick else LOAD_REQUESTS[1]
     model = _fitted_model(cfg)
 
     # ---- phase A: burst coalescing (deterministic, blocking) -----------
@@ -166,12 +142,6 @@ def run_ext_async_serving(cfg: RunConfig) -> ExperimentResult:
     top = curve[-1]
     scaling_eff = top.saturation_qps / (top.workers * top.worker_qps)
 
-    # ---- phase D: open-loop measured latency (warn-only) ---------------
-    load_q = _unique_queries(m_load, d, cfg.base_seed + 13)
-    reports = asyncio.run(
-        _load_phase(model, load_q, LOAD_QPS, workers=1 if cfg.quick else 2)
-    )
-
     rows = [
         ("coalesce", "requests", co_stats["requests"], "ok"),
         ("coalesce", "backend_rows", co_stats["backend_rows"],
@@ -189,12 +159,6 @@ def run_ext_async_serving(cfg: RunConfig) -> ExperimentResult:
          "ingress-limited" if p.ingress_limited else "worker-limited")
         for p in curve
     ]
-    rows += [
-        (f"load qps={r.offered_qps:.0f}", "p50/p99_ms",
-         f"{r.p50_ms:.3f}/{r.p99_ms:.3f}",
-         f"shed_rate={r.shed_rate:.2f} warn-only")
-        for r in reports
-    ]
     return ExperimentResult(
         headers=("stage", "param", "value", "status"),
         rows=tuple(rows),
@@ -207,17 +171,12 @@ def run_ext_async_serving(cfg: RunConfig) -> ExperimentResult:
             "curve_qps": [p.saturation_qps for p in curve],
             "curve_limited": [p.ingress_limited for p in curve],
             "knee_workers": knee,
-            "reports": [r.to_dict() for r in reports],
         },
         metrics={
-            # deterministic by construction: the blocking gate
             "quality.async_coalesce_savings": savings if coalesce_ok else 0.0,
             "quality.async_admission_determinism": 1.0 if shed_ok else 0.0,
             "throughput.async_modeled_saturation_qps": top.saturation_qps,
             "quality.async_scaling_efficiency": scaling_eff,
-            # measured wall-clock quantiles; CI gates them warn-only
-            "time.async_p50_ms": reports[0].p50_ms,
-            "time.async_p99_ms": reports[0].p99_ms,
         },
     )
 
@@ -227,7 +186,7 @@ def check_ext_async_serving(result: ExperimentResult) -> None:
     check(result.aux["coalesce_ok"], result.aux["coalesce_stats"])
     check(
         result.aux["coalesce_stats"]["backend_rows"] == result.aux["unique"],
-        'probe invariant violated: result.aux["coalesce_stats"]["backend_rows"] == result.aux[...',
+        'invariant violated: result.aux["coalesce_stats"]["backend_rows"] == result.aux[...',
     )
     # shedding is exact and never corrupts the counters
     check(result.aux["shed_ok"], result.aux["shed_stats"])
@@ -236,51 +195,19 @@ def check_ext_async_serving(result: ExperimentResult) -> None:
     qps = result.aux["curve_qps"]
     check(
         all(b >= a for a, b in zip(qps, qps[1:])),
-        'probe invariant violated: all(b >= a for a, b in zip(qps, qps[1:]))',
+        'invariant violated: all(b >= a for a, b in zip(qps, qps[1:]))',
     )
-    check(qps[1] > qps[0], 'probe invariant violated: qps[1] > qps[0]')
+    check(qps[1] > qps[0], 'invariant violated: qps[1] > qps[0]')
     check(
         result.aux["knee_workers"] is not None,
-        'probe invariant violated: result.aux["knee_workers"] is not None',
+        'invariant violated: result.aux["knee_workers"] is not None',
     )
     # the sweep straddles the knee: linear scaling first, ingress cap last
     limited = result.aux["curve_limited"]
     check(
         not limited[0] and limited[-1],
-        'probe invariant violated: not limited[0] and limited[-1]',
+        'invariant violated: not limited[0] and limited[-1]',
     )
-    # every open-loop report kept its books straight
-    for rep in result.aux["reports"]:
-        check(
-            rep["requests"] == rep["accepted"] + rep["shed"],
-            'probe invariant violated: rep["requests"] == rep["accepted"] + rep["shed"]',
-        )
-
-
-def probe_ext_async_serving(cfg: RunConfig):
-    """Executed probe: one inline async burst (coalescing on) per trial."""
-    _, d, _ = ASYNC_WORKLOAD
-    model = _fitted_model(cfg)
-    queries = _unique_queries(64, d, cfg.base_seed)
-
-    class _AsyncRun:
-        def __init__(self, seed: int) -> None:
-            self.seed = seed
-
-    def factory(seed: int) -> "_AsyncRun":
-        return _AsyncRun(seed)
-
-    def fit(run: "_AsyncRun") -> "_AsyncRun":
-        t0 = time.perf_counter()
-        stats, labels = asyncio.run(_coalesce_phase(model, queries, 2))
-        elapsed = time.perf_counter() - t0
-        run.labels_ = labels
-        run.objective_ = 1.0 - stats["backend_rows"] / max(stats["requests"], 1)
-        run.n_iter_ = int(stats["batches"])
-        run.timings_ = {"serve": elapsed}
-        return run
-
-    return factory, fit
 
 
 register_experiment(
@@ -290,9 +217,7 @@ register_experiment(
         group="extension",
         datasets=("synthetic-400x8",),
         k_values=(5,),
-        backends=("host",),
         run=run_ext_async_serving,
-        probe=probe_ext_async_serving,
         check=check_ext_async_serving,
         tags=("extension", "serve", "async", "autoscale"),
     )

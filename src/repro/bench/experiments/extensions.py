@@ -7,8 +7,6 @@ clustering via weighted kernel k-means, and the row-tiled engine sweep.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ...errors import check
@@ -26,7 +24,7 @@ from ...gpu import A100_80GB, H100_80GB, V100_32GB
 from ...kernels import GaussianKernel
 from ...modeling import model_baseline, model_popcorn, model_popcorn_tiled
 from ..registry import ExperimentResult, ExperimentSpec, RunConfig, register_experiment
-from .common import ITERS, popcorn_probe, walltime_probe
+from .common import ITERS
 
 DEVICE_SWEEP_SPECS = (V100_32GB, A100_80GB, H100_80GB)
 DEVICE_SWEEP_WORKLOAD = (60000, 780, 100)  # mnist at k=100
@@ -78,12 +76,12 @@ def check_ext_device_sweep(result: ExperimentResult) -> None:
     # newer generation -> faster Popcorn, with no code change
     check(
         totals[0] > totals[1] > totals[2],
-        'probe invariant violated: totals[0] > totals[1] > totals[2]',
+        'invariant violated: totals[0] > totals[1] > totals[2]',
     )
     # the SpMM-vs-handwritten advantage survives every generation
     check(
         all(s > 1.3 for s in speedups),
-        'probe invariant violated: all(s > 1.3 for s in speedups)',
+        'invariant violated: all(s > 1.3 for s in speedups)',
     )
 
 
@@ -133,11 +131,11 @@ def check_ext_distributed(result: ExperimentResult) -> None:
     models = result.aux["models"]
     # strong scaling holds through 8 GPUs on NVLink
     nv = {g: m["makespan_s"] for (c, g), m in models.items() if c == "NVLink"}
-    check(nv[8] < nv[2] < nv[1], 'probe invariant violated: nv[8] < nv[2] < nv[1]')
+    check(nv[8] < nv[2] < nv[1], 'invariant violated: nv[8] < nv[2] < nv[1]')
     # InfiniBand pays more communication than NVLink
     check(
         models[("InfiniBand", 8)]["comm_s"] > models[("NVLink", 8)]["comm_s"],
-        'probe invariant violated: models[("InfiniBand", 8)]["comm_s"] > models[("NVLink", 8)]...',
+        'invariant violated: models[("InfiniBand", 8)]["comm_s"] > models[("NVLink", 8)]...',
     )
 
 
@@ -198,32 +196,32 @@ def check_ext_memory_wall(result: ExperimentResult) -> None:
     # the fallbacks still run, and 4-GPU distribution beats recompute
     pop_small = model_popcorn(50000, d, k, include_transfer=False).total_s
     otf_small = model_onthefly(50000, d, k)["total_s"]
-    check(pop_small < otf_small, 'probe invariant violated: pop_small < otf_small')
+    check(pop_small < otf_small, 'invariant violated: pop_small < otf_small')
     big = 200000
     check(
         4.0 * big * big > MEMORY_WALL_CAPACITY,
-        'probe invariant violated: 4.0 * big * big > MEMORY_WALL_CAPACITY',
+        'invariant violated: 4.0 * big * big > MEMORY_WALL_CAPACITY',
     )
     tiled_big = result.metrics["time.tiled_200k_s"]
     otf_big = model_onthefly(big, d, k)
     dist_big = result.metrics["time.distributed4_200k_s"]
     check(
         4.0 * MEMORY_WALL_TILE * big < MEMORY_WALL_CAPACITY,
-        'probe invariant violated: 4.0 * MEMORY_WALL_TILE * big < MEMORY_WALL_CAPACITY',
+        'invariant violated: 4.0 * MEMORY_WALL_TILE * big < MEMORY_WALL_CAPACITY',
     )
-    check(np.isfinite(tiled_big), 'probe invariant violated: np.isfinite(tiled_big)')
+    check(np.isfinite(tiled_big), 'invariant violated: np.isfinite(tiled_big)')
     check(
         otf_big["peak_bytes"] < MEMORY_WALL_CAPACITY,
-        'probe invariant violated: otf_big["peak_bytes"] < MEMORY_WALL_CAPACITY',
+        'invariant violated: otf_big["peak_bytes"] < MEMORY_WALL_CAPACITY',
     )
-    check(dist_big < otf_big["total_s"], 'probe invariant violated: dist_big < otf_big["total_s"]')
+    check(dist_big < otf_big["total_s"], 'invariant violated: dist_big < otf_big["total_s"]')
     # streaming is not free: tiled pays over resident popcorn where both run
     check(
         model_popcorn_tiled(
             50000, d, k, chunk_rows=MEMORY_WALL_TILE, include_transfer=False
         ).total_s
         > pop_small,
-        'probe invariant violated: model_popcorn_tiled(50000, ...) > pop_small',
+        'invariant violated: model_popcorn_tiled(50000, ...) > pop_small',
     )
     # tiled-vs-recompute crossover is set by d: re-streaming K over PCIe
     # costs ~4 bytes/entry/iter regardless of d, while recomputing it
@@ -231,7 +229,7 @@ def check_ext_memory_wall(result: ExperimentResult) -> None:
     # streaming wins for high-dimensional data
     check(
         otf_big["total_s"] < tiled_big,
-        'probe invariant violated: otf_big["total_s"] < tiled_big',
+        'invariant violated: otf_big["total_s"] < tiled_big',
     )
     hi_d = 4000
     check(
@@ -239,7 +237,7 @@ def check_ext_memory_wall(result: ExperimentResult) -> None:
             big, hi_d, k, chunk_rows=MEMORY_WALL_TILE, include_transfer=False
         ).total_s
         < model_onthefly(big, hi_d, k)["total_s"],
-        'probe invariant violated: model_popcorn_tiled(big, hi_d, ...) < onthefly',
+        'invariant violated: model_popcorn_tiled(big, hi_d, ...) < onthefly',
     )
 
 
@@ -280,9 +278,9 @@ def check_ext_nystrom(result: ExperimentResult) -> None:
     aris = result.aux["aris"]
     errs = result.aux["errs"]
     # enough landmarks solve the task exactly
-    check(max(aris[-2:]) > 0.95, 'probe invariant violated: max(aris[-2:]) > 0.95')
-    # kernel approximation error decreases monotonically with landmarks
-    check(errs[0] > errs[-1], 'probe invariant violated: errs[0] > errs[-1]')
+    check(max(aris[-2:]) > 0.95, 'invariant violated: max(aris[-2:]) > 0.95')
+    # kernel approximation error falls as landmarks are added
+    check(errs[0] > errs[-1], 'invariant violated: errs[0] > errs[-1]')
 
 
 # --- spectral clustering via weighted kernel k-means -----------------------
@@ -329,16 +327,16 @@ def run_ext_spectral(cfg: RunConfig) -> ExperimentResult:
 def check_ext_spectral(result: ExperimentResult) -> None:
     aris = result.aux["aris"]
     # quality degrades gracefully with community mixing, perfect when clean
-    check(aris[0.01] == 1.0, 'probe invariant violated: aris[0.01] == 1.0')
-    check(aris[0.01] >= aris[0.20], 'probe invariant violated: aris[0.01] >= aris[0.20]')
+    check(aris[0.01] == 1.0, 'invariant violated: aris[0.01] == 1.0')
+    check(aris[0.01] >= aris[0.20], 'invariant violated: aris[0.01] >= aris[0.20]')
     # the graph view dominates the radial view on moons
     check(
         result.aux["spect_ari"] > result.aux["plain_ari"] + 0.5,
-        'probe invariant violated: result.aux["spect_ari"] > result.aux["plain_ari"] + 0.5',
+        'invariant violated: result.aux["spect_ari"] > result.aux["plain_ari"] + 0.5',
     )
     check(
         result.aux["spect_ari"] > 0.95,
-        'probe invariant violated: result.aux["spect_ari"] > 0.95',
+        'invariant violated: result.aux["spect_ari"] > 0.95',
     )
 
 
@@ -390,16 +388,16 @@ def run_ext_engine_tiling(cfg: RunConfig) -> ExperimentResult:
 def check_ext_engine_tiling(result: ExperimentResult) -> None:
     ratios = result.aux["ratios"]
     # structure: streaming always costs something, and the overhead falls
-    # monotonically as tiles grow (fixed overheads amortise)
-    check(all(r > 1.0 for r in ratios), 'probe invariant violated: all(r > 1.0 for r in ratios)')
+    # at every step as tiles grow (fixed overheads amortise)
+    check(all(r > 1.0 for r in ratios), 'invariant violated: all(r > 1.0 for r in ratios)')
     check(
         ratios == sorted(ratios, reverse=True),
-        'probe invariant violated: ratios == sorted(ratios, reverse=True)',
+        'invariant violated: ratios == sorted(ratios, reverse=True)',
     )
     # the streaming floor is the PCIe/HBM bandwidth gap (~80x on the A100
     # testbed): re-reading K over PCIe each iteration cannot cost more
     # than that relative to the resident SpMM
-    check(ratios[-1] < 80.0, 'probe invariant violated: ratios[-1] < 80.0')
+    check(ratios[-1] < 80.0, 'invariant violated: ratios[-1] < 80.0')
 
 
 # --- engine-executed sharded strong scaling ---------------------------------
@@ -503,105 +501,30 @@ def check_ext_strong_scaling(result: ExperimentResult) -> None:
     # the acceptance contract: sharded labels are bit-identical to host
     check(
         all(result.aux["matches"].values()),
-        'probe invariant violated: all(result.aux["matches"].values())',
+        'invariant violated: all(result.aux["matches"].values())',
     )
     # end-to-end strong scaling holds at the executed size...
-    check(makespans[8] < makespans[1], 'probe invariant violated: makespans[8] < makespans[1]')
-    # ...and monotonically at paper scale, where every shard stays wide
+    check(makespans[8] < makespans[1], 'invariant violated: makespans[8] < makespans[1]')
+    # ...and at every step at paper scale, where every shard stays wide
     for a, b in zip(STRONG_SCALING_GPUS, STRONG_SCALING_GPUS[1:]):
         check(
             paper[b]["makespan_s"] < paper[a]["makespan_s"],
-            'probe invariant violated: paper[b]["makespan_s"] < paper[a]["makespan_s"]',
+            'invariant violated: paper[b]["makespan_s"] < paper[a]["makespan_s"]',
         )
     # communication is the price: it grows with the device count
     order = sorted(comms)
     check(
         all(comms[a] <= comms[b] for a, b in zip(order, order[1:])),
-        'probe invariant violated: all(comms[a] <= comms[b] for a, b in zip(order, order[1:]))',
+        'invariant violated: all(comms[a] <= comms[b] for a, b in zip(order, order[1:]))',
     )
     check(
         result.metrics["throughput.sharded_g8_speedup"] > 1.2,
-        'probe invariant violated: result.metrics["throughput.sharded_g8_speedup"] > 1.2',
+        'invariant violated: result.metrics["throughput.sharded_g8_speedup"] > 1.2',
     )
     check(
         result.metrics["throughput.paper_scale_g8_speedup"] > 4.0,
-        'probe invariant violated: result.metrics["throughput.paper_scale_g8_speedup"] > 4.0',
+        'invariant violated: result.metrics["throughput.paper_scale_g8_speedup"] > 4.0',
     )
-
-
-# --- probes ----------------------------------------------------------------
-
-
-def distributed_probe(cfg: RunConfig):
-    x = np.random.default_rng(4).standard_normal((90, 6)).astype(np.float64)
-
-    def factory(seed: int):
-        return make_estimator(
-            "distributed", n_clusters=4, n_devices=3, dtype=np.float64,
-            max_iter=6, check_convergence=False, seed=seed,
-        )
-
-    def fit(est):
-        return est.fit(x)
-
-    return factory, fit
-
-
-def strong_scaling_probe(cfg: RunConfig):
-    x = np.random.default_rng(9).standard_normal((120, 8)).astype(np.float64)
-
-    def factory(seed: int):
-        return make_estimator(
-            "popcorn", n_clusters=4, backend="sharded:4", dtype=np.float64,
-            max_iter=5, check_convergence=False, seed=seed,
-        )
-
-    def fit(est):
-        return est.fit(x)
-
-    return factory, fit
-
-
-def onthefly_probe(cfg: RunConfig):
-    x = np.random.default_rng(0).standard_normal((120, 6)).astype(np.float64)
-
-    def factory(seed: int):
-        return make_estimator(
-            "onthefly", n_clusters=4, block_rows=32, max_iter=5,
-            check_convergence=False, seed=seed,
-        )
-
-    def fit(est):
-        return est.fit(x)
-
-    return factory, fit
-
-
-def nystrom_probe(cfg: RunConfig):
-    x, _ = make_circles(200, rng=1)
-    kern = GaussianKernel(gamma=5.0)
-
-    def factory(seed: int):
-        return make_estimator(
-            "nystrom", n_clusters=2, n_landmarks=50, kernel=kern, seed=seed
-        )
-
-    return walltime_probe(factory, x)
-
-
-def spectral_probe(cfg: RunConfig):
-    x, _ = make_moons(120, rng=1)
-
-    def factory(seed: int):
-        return make_estimator("spectral", n_clusters=2, seed=seed)
-
-    return walltime_probe(factory, x)
-
-
-def tiling_probe(cfg: RunConfig):
-    if cfg.chunk_rows is None:
-        cfg = replace(cfg, chunk_rows=64)
-    return popcorn_probe(cfg)
 
 
 register_experiment(
@@ -612,7 +535,6 @@ register_experiment(
         run=run_ext_device_sweep,
         k_values=(100,),
         check=check_ext_device_sweep,
-        probe=popcorn_probe,
         tags=("portability",),
     )
 )
@@ -624,7 +546,6 @@ register_experiment(
         run=run_ext_distributed,
         k_values=(100,),
         check=check_ext_distributed,
-        probe=distributed_probe,
         tags=("distributed", "scaling"),
     )
 )
@@ -636,7 +557,6 @@ register_experiment(
         run=run_ext_memory_wall,
         k_values=(100,),
         check=check_ext_memory_wall,
-        probe=onthefly_probe,
         tags=("memory", "tiling", "onthefly"),
     )
 )
@@ -648,7 +568,6 @@ register_experiment(
         run=run_ext_nystrom,
         k_values=(2,),
         check=check_ext_nystrom,
-        probe=nystrom_probe,
         tags=("approximation",),
     )
 )
@@ -660,7 +579,6 @@ register_experiment(
         run=run_ext_spectral,
         k_values=(2, 4),
         check=check_ext_spectral,
-        probe=spectral_probe,
         tags=("spectral", "graph"),
     )
 )
@@ -671,9 +589,7 @@ register_experiment(
         group="extension",
         run=run_ext_strong_scaling,
         k_values=(12,),
-        backends=("host", "sharded"),
         check=check_ext_strong_scaling,
-        probe=strong_scaling_probe,
         tags=("distributed", "scaling", "engine", "sharded"),
     )
 )
@@ -685,7 +601,6 @@ register_experiment(
         run=run_ext_engine_tiling,
         k_values=(100,),
         check=check_ext_engine_tiling,
-        probe=tiling_probe,
         tags=("tiling", "engine"),
     )
 )

@@ -2,17 +2,14 @@
 
 Quantifies what the incremental engine (:mod:`repro.engine.minibatch`)
 trades for its O(batch) updates: clustering quality versus the full-batch
-fit on the same data (ARI between the two assignments — the blocking
-metric) and the online update throughput (samples absorbed per second of
-``partial_fit`` wall-clock — warn-only, it measures this machine).  The
-check also pins the cold-start contract executed end to end: the first
-full-data ``partial_fit`` call reproduces one full-fit iteration bit for
-bit.
+fit on the same data (ARI between the two assignments — the gated
+metric).  The check also pins the cold-start contract executed end to
+end: the first full-data ``partial_fit`` call reproduces one full-fit
+iteration bit for bit.  The measured ``partial_fit`` rate is hostbench's
+``partial_fit_rows_per_s``.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -20,7 +17,6 @@ from ...errors import check
 from ...eval import adjusted_rand_index
 from ...estimators import make_estimator
 from ..registry import ExperimentResult, ExperimentSpec, RunConfig, register_experiment
-from .common import _probe_points
 
 #: (n, d, k) of the streamed workload; blobs keep the ARI meaningful
 MINIBATCH_WORKLOAD = (1200, 12, 6)
@@ -66,10 +62,7 @@ def run_ext_minibatch(cfg: RunConfig) -> ExperimentResult:
     online = _estimator(
         k, cfg.base_seed, batch_size=MINIBATCH_BATCH, reassignment_ratio=0.01
     )
-    t0 = time.perf_counter()
     online.partial_fit(x)
-    online_s = time.perf_counter() - t0
-    updates_per_s = n / online_s if online_s > 0 else float("inf")
 
     online_labels = online.predict(x)
     vs_full_ari = adjusted_rand_index(online_labels, np.asarray(full.labels_))
@@ -85,18 +78,13 @@ def run_ext_minibatch(cfg: RunConfig) -> ExperimentResult:
     )
 
     rows = (
-        ("full fit", f"{MINIBATCH_FULL_ITERS} iters", f"{full_ari_truth:.3f}", "-"),
-        (
-            "online partial_fit",
-            f"{online.n_batches_seen_} batches",
-            f"{online_ari_truth:.3f}",
-            f"{updates_per_s:.0f}",
-        ),
-        ("online vs full (ARI)", "-", f"{vs_full_ari:.3f}", "-"),
-        ("cold start bit-exact", "-", str(cold_bit_exact), "-"),
+        ("full fit", f"{MINIBATCH_FULL_ITERS} iters", f"{full_ari_truth:.3f}"),
+        ("online partial_fit", f"{online.n_batches_seen_} batches", f"{online_ari_truth:.3f}"),
+        ("online vs full (ARI)", "-", f"{vs_full_ari:.3f}"),
+        ("cold start bit-exact", "-", str(cold_bit_exact)),
     )
     return ExperimentResult(
-        headers=("variant", "work", "ARI", "updates/s"),
+        headers=("variant", "work", "ARI"),
         rows=rows,
         aux={
             "vs_full_ari": vs_full_ari,
@@ -104,67 +92,35 @@ def run_ext_minibatch(cfg: RunConfig) -> ExperimentResult:
             "full_ari_truth": full_ari_truth,
             "cold_bit_exact": cold_bit_exact,
             "n_batches": int(online.n_batches_seen_),
-            "updates_per_s": updates_per_s,
         },
-        metrics={
-            "quality.minibatch_vs_full_ari": vs_full_ari,
-            "throughput.minibatch_updates_per_s": updates_per_s,
-        },
+        metrics={"quality.minibatch_vs_full_ari": vs_full_ari},
     )
 
 
 def check_ext_minibatch(result: ExperimentResult) -> None:
     # the cold-start contract is bitwise, not approximate
-    check(result.aux["cold_bit_exact"], 'probe invariant violated: result.aux["cold_bit_exact"]')
+    check(result.aux["cold_bit_exact"], 'invariant violated: result.aux["cold_bit_exact"]')
     # the stream actually split into batches (the online path ran)
-    check(result.aux["n_batches"] > 1, 'probe invariant violated: result.aux["n_batches"] > 1')
+    check(result.aux["n_batches"] > 1, 'invariant violated: result.aux["n_batches"] > 1')
     # online quality tracks the full fit on separable data
     check(
         result.aux["vs_full_ari"] >= MINIBATCH_ARI_FLOOR,
-        'probe invariant violated: result.aux["vs_full_ari"] >= MINIBATCH_ARI_FLOOR',
+        'invariant violated: result.aux["vs_full_ari"] >= MINIBATCH_ARI_FLOOR',
     )
     check(
         result.aux["online_ari_truth"] >= MINIBATCH_ARI_FLOOR,
-        'probe invariant violated: result.aux["online_ari_truth"] >= MINIBATCH_ARI_FLOOR',
+        'invariant violated: result.aux["online_ari_truth"] >= MINIBATCH_ARI_FLOOR',
     )
-
-
-def minibatch_probe(cfg: RunConfig, *, n: int = 200, d: int = 8, k: int = 5):
-    """Small real online fit: cold start + streamed partial_fit batches."""
-    x = _probe_points(n, d, cfg.base_seed)
-
-    def factory(seed: int):
-        return make_estimator(
-            "popcorn",
-            n_clusters=k,
-            dtype=np.float64,
-            backend="host",
-            batch_size=50,
-            seed=seed,
-        )
-
-    def fit(est):
-        t0 = time.perf_counter()
-        est.partial_fit(x)
-        est.partial_fit(x[: n // 2])
-        elapsed = time.perf_counter() - t0
-        # the trial protocol aggregates timings_/objective_; partial_fit
-        # sets objective_ per batch, so only the wall-clock needs filling
-        est.timings_ = {"partial_fit": elapsed}
-        return est
-
-    return factory, fit
 
 
 register_experiment(
     ExperimentSpec(
         exp_id="ext_minibatch",
-        title="online mini-batch partial_fit vs full-batch fit (quality + throughput)",
+        title="online mini-batch partial_fit vs full-batch fit (quality)",
         group="extension",
         run=run_ext_minibatch,
         k_values=(6,),
         check=check_ext_minibatch,
-        probe=minibatch_probe,
         tags=("minibatch", "online", "partial_fit", "serving"),
     )
 )

@@ -1,23 +1,18 @@
 """Registry entry for the observability layer (:mod:`repro.obs`).
 
-Two claims are pinned here.  First, the *shape* of the instrumentation
-is deterministic: a fixed workload (``check_convergence=False`` with a
+The claim pinned here is that the *shape* of the instrumentation is
+deterministic: a fixed workload (``check_convergence=False`` with a
 fixed ``max_iter``) must emit exactly the expected span tree — one
 ``fit.iter`` per iteration with the four phase children underneath, one
 ``sharded.step`` per sharded iteration, one ``serve.enqueue`` per
-uncached request — and two identical fits must produce byte-identical
-span summaries.  These are the blocking metrics (``quality.*``): they
-are 1.0 by construction and drop to 0.0 the moment an instrumentation
-site is lost or double-counts.  Second, the disabled tracer is cheap:
-the measured traced/untraced fit-time ratio is reported as
-``time.obs_overhead_ratio`` — machine-dependent, so the CI gate lists
-it warn-only (``--exclude time.obs``), like the other wall-clock
-probes.
+uncached request — and two identical fits must produce identical span
+counts.  These are the gated metrics (``quality.*``): they are 1.0 by
+construction and drop to 0.0 the moment an instrumentation site is lost
+or double-counts.  What tracing costs is a measured number, hostbench's
+``obs.overhead_frac``.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -25,7 +20,6 @@ from ...errors import check
 from ...estimators import make_estimator
 from ...obs import trace
 from ..registry import ExperimentResult, ExperimentSpec, RunConfig, register_experiment
-from .common import _probe_points
 
 #: (n, d) of the fixed workload; k and the iteration count stay fixed
 #: across quick/full so the span shape is one deterministic contract
@@ -87,28 +81,18 @@ def run_ext_observability(cfg: RunConfig) -> ExperimentResult:
 
     was_enabled = trace.enabled
     try:
-        # ---- untraced reference fits (the overhead denominator) --------
-        trace.disable()
-        repeats = 2 if cfg.quick else 3
-        off_s = min(
-            _timed(lambda: _host_fit(x, cfg.base_seed)) for _ in range(repeats)
-        )
-
         trace.enable()
 
         # ---- traced host fit, twice (shape + determinism) --------------
         mark = trace.mark()
-        on_s = min(
-            _timed(lambda: _host_fit(x, cfg.base_seed)) for _ in range(repeats)
-        )
+        _host_fit(x, cfg.base_seed)
         host_summary, host_spans = _windowed(mark)
 
         mark = trace.mark()
         _host_fit(x, cfg.base_seed)
         repeat_summary, _ = _windowed(mark)
-        # the first window holds `repeats` fits, the repeat window one;
         # identical per-fit counts = the instrumentation is deterministic
-        per_fit = {k: v["count"] // repeats for k, v in host_summary.items()}
+        per_fit = {k: v["count"] for k, v in host_summary.items()}
         deterministic = per_fit == {
             k: v["count"] for k, v in repeat_summary.items()
         }
@@ -130,8 +114,6 @@ def run_ext_observability(cfg: RunConfig) -> ExperimentResult:
         serve_summary, _ = _windowed(mark)
     finally:
         trace.enabled = was_enabled
-
-    overhead_ratio = on_s / off_s if off_s > 0 else float("inf")
 
     expected = {
         "fit.iter": OBS_ITERS,
@@ -168,7 +150,6 @@ def run_ext_observability(cfg: RunConfig) -> ExperimentResult:
     ) + (
         ("nesting fit.* under fit.iter", "-", str(nesting), "ok" if nesting else "MISMATCH"),
         ("repeat-fit determinism", "-", str(deterministic), "ok" if deterministic else "MISMATCH"),
-        ("overhead ratio (off->on)", "-", f"{overhead_ratio:.3f}", "warn-only"),
     )
     return ExperimentResult(
         headers=("span family", "expected", "observed", "status"),
@@ -180,7 +161,6 @@ def run_ext_observability(cfg: RunConfig) -> ExperimentResult:
             "shape_ok": shape_ok,
             "deterministic": deterministic,
             "nesting_ok": nesting,
-            "overhead_ratio": overhead_ratio,
             "serve_stats": serve_stats,
         },
         metrics={
@@ -188,16 +168,8 @@ def run_ext_observability(cfg: RunConfig) -> ExperimentResult:
             "quality.obs_span_shape": 1.0 if shape_ok else 0.0,
             "quality.obs_span_coverage": coverage,
             "quality.obs_determinism": 1.0 if (deterministic and nesting) else 0.0,
-            # machine-dependent; CI gates it warn-only
-            "time.obs_overhead_ratio": overhead_ratio,
         },
     )
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
 
 
 def check_ext_observability(result: ExperimentResult) -> None:
@@ -216,47 +188,23 @@ def check_ext_observability(result: ExperimentResult) -> None:
     ),
     )
     # phase spans nest under their iteration; repeat fits agree
-    check(result.aux["nesting_ok"], 'probe invariant violated: result.aux["nesting_ok"]')
-    check(result.aux["deterministic"], 'probe invariant violated: result.aux["deterministic"]')
+    check(result.aux["nesting_ok"], 'invariant violated: result.aux["nesting_ok"]')
+    check(result.aux["deterministic"], 'invariant violated: result.aux["deterministic"]')
     # every request of the serve stage was answered
     check(
         result.aux["serve_stats"]["served"] == OBS_QUERIES,
-        'probe invariant violated: result.aux["serve_stats"]["served"] == OBS_QUERIES',
+        'invariant violated: result.aux["serve_stats"]["served"] == OBS_QUERIES',
     )
-
-
-def observability_probe(cfg: RunConfig, *, n: int = 200, d: int = 8):
-    """Small host fit with the tracer in its default (off) state — the
-    probe's wall-clock is the untraced baseline CI trends over time."""
-    x = _probe_points(n, d, cfg.base_seed)
-
-    def factory(seed: int):
-        return make_estimator(
-            "popcorn",
-            n_clusters=OBS_K,
-            dtype=np.float64,
-            backend="host",
-            kernel="linear",
-            max_iter=OBS_ITERS,
-            check_convergence=False,
-            seed=seed,
-        )
-
-    def fit(est):
-        return est.fit(x)
-
-    return factory, fit
 
 
 register_experiment(
     ExperimentSpec(
         exp_id="ext_observability",
-        title="observability layer: span-tree shape, coverage, and tracing overhead",
+        title="observability layer: span-tree shape, coverage, and determinism",
         group="extension",
         run=run_ext_observability,
         k_values=(OBS_K,),
         check=check_ext_observability,
-        probe=observability_probe,
         tags=("observability", "tracing", "metrics", "obs"),
     )
 )

@@ -14,7 +14,7 @@ from ...gpu import A100_80GB, op_point
 from ...kernels import model_gram_times
 from ...modeling import model_baseline, model_cpu, model_popcorn
 from ..registry import ExperimentResult, ExperimentSpec, RunConfig, register_experiment
-from .common import DATASETS, ITERS, K_VALUES, baseline_probe, datasets, k_values, popcorn_probe
+from .common import DATASETS, ITERS, K_VALUES, datasets, k_values
 
 FIG2_N_VALUES = (50000, 10000)
 FIG2_D_VALUES = (100, 1000, 10000, 100000)
@@ -36,11 +36,11 @@ def run_table2(cfg: RunConfig) -> ExperimentResult:
 def check_table2(result: ExperimentResult) -> None:
     check(
         len(result.rows) == len(DATASETS),
-        'probe invariant violated: len(result.rows) == len(DATASETS)',
+        'invariant violated: len(result.rows) == len(DATASETS)',
     )
     check(
         set(result.aux["names"]) == set(DATASETS),
-        'probe invariant violated: set(result.aux["names"]) == set(DATASETS)',
+        'invariant violated: set(result.aux["names"]) == set(DATASETS)',
     )
 
 
@@ -78,15 +78,15 @@ def run_fig2(cfg: RunConfig) -> ExperimentResult:
 def check_fig2(result: ExperimentResult) -> None:
     # shape assertions (paper Sec. 5.2)
     t_big = model_gram_times(A100_80GB, 50000, 100)
-    check(t_big["gemm"] < t_big["syrk"], 'probe invariant violated: t_big["gemm"] < t_big["syrk"]')
+    check(t_big["gemm"] < t_big["syrk"], 'invariant violated: t_big["gemm"] < t_big["syrk"]')
     t_small = model_gram_times(A100_80GB, 10000, 10000)
     check(
         t_small["syrk"] < t_small["gemm"],
-        'probe invariant violated: t_small["syrk"] < t_small["gemm"]',
+        'invariant violated: t_small["syrk"] < t_small["gemm"]',
     )
     check(
         len(result.rows) == len(FIG2_N_VALUES) * len(FIG2_D_VALUES),
-        'probe invariant violated: len(result.rows) == len(FIG2_N_VALUES) * len(FIG2_D_VALUES)',
+        'invariant violated: len(result.rows) == len(FIG2_N_VALUES) * len(FIG2_D_VALUES)',
     )
 
 
@@ -123,14 +123,14 @@ def check_fig3(result: ExperimentResult) -> None:
     all_s = list(speedups.values())
     check(
         min(all_s) >= 10 and max(all_s) <= 80,
-        'probe invariant violated: min(all_s) >= 10 and max(all_s) <= 80',
+        'invariant violated: min(all_s) >= 10 and max(all_s) <= 80',
     )
     best = max(speedups, key=speedups.get)
-    check(best[0] == "letter", 'probe invariant violated: best[0] == "letter"')
+    check(best[0] == "letter", 'invariant violated: best[0] == "letter"')
     for name in DATASETS:
         check(
             speedups[(name, 100)] > speedups[(name, 10)],
-            'probe invariant violated: speedups[(name, 100)] > speedups[(name, 10)]',
+            'invariant violated: speedups[(name, 100)] > speedups[(name, 10)]',
         )
 
 
@@ -173,7 +173,7 @@ def check_fig4(result: ExperimentResult) -> None:
     for name in ("acoustic", "cifar10", "mnist"):
         check(
             speed[(name, 50)] > speed[(name, 10)],
-            'probe invariant violated: speed[(name, 50)] > speed[(name, 10)]',
+            'invariant violated: speed[(name, 50)] > speed[(name, 10)]',
         )
 
 
@@ -217,11 +217,11 @@ def check_fig5(result: ExperimentResult) -> None:
     for name in ("acoustic", "cifar10", "ledgar", "mnist"):
         check(
             330 <= min(pop_series[name]) and max(pop_series[name]) <= 760,
-            'probe invariant violated: 330 <= min(pop_series[name]) and max(pop_series[name]) ...',
+            'invariant violated: 330 <= min(pop_series[name]) and max(pop_series[name]) ...',
         )
         check(
             280 <= min(base_series[name]) and max(base_series[name]) <= 450,
-            'probe invariant violated: 280 <= min(base_series[name]) and max(base_series[name]...',
+            'invariant violated: 280 <= min(base_series[name]) and max(base_series[name]...',
         )
 
 
@@ -293,7 +293,7 @@ def check_fig6(result: ExperimentResult) -> None:
     ai_model = pop.profiler.arithmetic_intensity("cusparse.spmm")
     check(
         0.5 < ai_formula / ai_model < 2.0,
-        'probe invariant violated: 0.5 < ai_formula / ai_model < 2.0',
+        'invariant violated: 0.5 < ai_formula / ai_model < 2.0',
     )
 
 
@@ -331,7 +331,7 @@ def check_fig7(result: ExperimentResult) -> None:
     for key, s in speed.items():
         check(1.4 <= s <= 2.7, (key, s))
     # Popcorn is never slower end to end
-    check(min(speed.values()) > 1.0, 'probe invariant violated: min(speed.values()) > 1.0')
+    check(min(speed.values()) > 1.0, 'invariant violated: min(speed.values()) > 1.0')
 
 
 # --- Figure 8: runtime breakdown -------------------------------------------
@@ -402,7 +402,6 @@ register_experiment(
         run=run_table2,
         datasets=tuple(DATASETS),
         check=check_table2,
-        probe=popcorn_probe,
         tags=("datasets",),
     )
 )
@@ -413,7 +412,6 @@ register_experiment(
         group="figure",
         run=run_fig2,
         check=check_fig2,
-        probe=popcorn_probe,
         tags=("gram", "dispatch"),
     )
 )
@@ -426,7 +424,6 @@ register_experiment(
         datasets=tuple(DATASETS),
         k_values=K_VALUES,
         check=check_fig3,
-        probe=baseline_probe,
         tags=("baseline", "cpu"),
     )
 )
@@ -439,7 +436,6 @@ register_experiment(
         datasets=tuple(DATASETS),
         k_values=K_VALUES,
         check=check_fig4,
-        probe=popcorn_probe,
         tags=("distances",),
     )
 )
@@ -452,7 +448,6 @@ register_experiment(
         datasets=tuple(DATASETS),
         k_values=K_VALUES,
         check=check_fig5,
-        probe=popcorn_probe,
         tags=("throughput", "spmm"),
     )
 )
@@ -465,7 +460,6 @@ register_experiment(
         datasets=tuple(DATASETS),
         k_values=K_VALUES,
         check=check_fig6,
-        probe=popcorn_probe,
         tags=("roofline",),
     )
 )
@@ -478,7 +472,6 @@ register_experiment(
         datasets=tuple(DATASETS),
         k_values=K_VALUES,
         check=check_fig7,
-        probe=popcorn_probe,
         tags=("end-to-end",),
     )
 )
@@ -491,7 +484,6 @@ register_experiment(
         datasets=tuple(DATASETS),
         k_values=K_VALUES,
         check=check_fig8,
-        probe=popcorn_probe,
         tags=("breakdown",),
     )
 )

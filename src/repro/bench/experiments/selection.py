@@ -3,11 +3,10 @@
 ``model_selection`` drives :class:`repro.select.GridSearchKernelKMeans`
 over a Gaussian-bandwidth sweep on the concentric-circles workload —
 the canonical "which kernel hyperparameter?" question — and tracks the
-search *throughput* (candidate fits per second) plus the winner's
-held-out ARI, so the CI perf gate watches the model-selection layer the
-same way it watches fit and serve time.  Candidates are built through
-the estimator registry (``"popcorn"`` by name) and cloned per fold; no
-estimator class is referenced anywhere in the spec.
+winner's held-out ARI through the CI gate; the check pins which
+bandwidth wins.  Candidates are built through the estimator registry
+(``"popcorn"`` by name) and cloned per fold; no estimator class is
+referenced anywhere in the spec.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ QUICK_CV = 2
 def _search_grid(cfg: RunConfig, gammas) -> dict:
     return {
         "n_clusters": [2],
-        "backend": [cfg.backend if cfg.backend != "auto" else "host"],
+        "backend": ["host"],
         "dtype": [np.float64],
         "kernel": [GaussianKernel(gamma=g) for g in gammas],
         "init": ["k-means++"],
@@ -52,26 +51,16 @@ def run_model_selection(cfg: RunConfig) -> ExperimentResult:
 
     rows = []
     mean_scores = []
-    for params, mean, std, rank, fit_t in zip(
+    for params, mean, std, rank in zip(
         search.cv_results_["params"],
         search.cv_results_["mean_test_score"],
         search.cv_results_["std_test_score"],
         search.cv_results_["rank_test_score"],
-        search.cv_results_["mean_fit_time"],
     ):
         mean_scores.append(float(mean))
-        rows.append(
-            (
-                f"{params['kernel'].gamma:g}",
-                f"{mean:.3f}",
-                f"{std:.3f}",
-                int(rank),
-                f"{fit_t * 1e3:.2f}",
-            )
-        )
-    fits_per_s = search.n_fits_ / max(search.search_time_s_, 1e-12)
+        rows.append((f"{params['kernel'].gamma:g}", f"{mean:.3f}", f"{std:.3f}", int(rank)))
     return ExperimentResult(
-        headers=("gamma", "mean_ari", "std_ari", "rank", "mean_fit_ms"),
+        headers=("gamma", "mean_ari", "std_ari", "rank"),
         rows=tuple(rows),
         aux={
             "gammas": list(gammas),
@@ -80,10 +69,7 @@ def run_model_selection(cfg: RunConfig) -> ExperimentResult:
             "best_score": search.best_score_,
             "n_fits": search.n_fits_,
         },
-        metrics={
-            "throughput.model_selection_fits_per_s": fits_per_s,
-            "quality.model_selection_best_ari": search.best_score_,
-        },
+        metrics={"quality.model_selection_best_ari": search.best_score_},
     )
 
 
@@ -92,70 +78,30 @@ def check_model_selection(result: ExperimentResult) -> None:
     # the sweep must discriminate: a clear winner, at a sensible bandwidth
     check(
         result.aux["best_score"] > 0.4,
-        'probe invariant violated: result.aux["best_score"] > 0.4',
+        'invariant violated: result.aux["best_score"] > 0.4',
     )
     check(
         result.aux["best_score"] >= max(scores),
-        'probe invariant violated: result.aux["best_score"] >= max(scores)',
+        'invariant violated: result.aux["best_score"] >= max(scores)',
     )
     check(
         min(scores) < result.aux["best_score"] - 0.2,
-        'probe invariant violated: min(scores) < result.aux["best_score"] - 0.2',
+        'invariant violated: min(scores) < result.aux["best_score"] - 0.2',
     )
     check(
         result.aux["best_gamma"] == 5.0,
-        'probe invariant violated: result.aux["best_gamma"] == 5.0',
+        'invariant violated: result.aux["best_gamma"] == 5.0',
     )
-
-
-def probe_model_selection(cfg: RunConfig):
-    """Executed probe: one tiny grid search per trial (measured wall-clock)."""
-    import time
-
-    x, y = make_circles(120, rng=cfg.base_seed)
-
-    class _SearchRun:
-        def __init__(self, seed: int) -> None:
-            self.seed = seed
-
-    def factory(seed: int) -> "_SearchRun":
-        return _SearchRun(seed)
-
-    def fit(run: "_SearchRun") -> "_SearchRun":
-        t0 = time.perf_counter()
-        search = GridSearchKernelKMeans(
-            "popcorn",
-            {
-                "n_clusters": [2],
-                "backend": ["host"],
-                "dtype": [np.float64],
-                "kernel": [GaussianKernel(gamma=g) for g in (2.0, 5.0)],
-                "max_iter": [10],
-                "seed": [run.seed],
-            },
-            scoring="ari",
-            cv=2,
-        ).fit(x, y)
-        elapsed = time.perf_counter() - t0
-        run.labels_ = search.predict(x)
-        run.objective_ = float(search.best_score_)
-        run.n_iter_ = int(search.n_fits_)
-        run.timings_ = {"search": elapsed}
-        return run
-
-    return factory, fit
 
 
 register_experiment(
     ExperimentSpec(
         exp_id="model_selection",
-        title="Extension: registry-driven grid search (model-selection throughput)",
+        title="Extension: registry-driven grid search (model selection)",
         group="extension",
         datasets=("circles-300x2",),
         k_values=(2,),
-        backends=("host",),
         run=run_model_selection,
-        probe=probe_model_selection,
         check=check_model_selection,
         tags=("extension", "select"),
     )

@@ -2,12 +2,12 @@
 
 Every figure/table/ablation of the paper's evaluation (Sec. 5) is one
 :class:`ExperimentSpec`: a declarative record naming the datasets and
-k-sweep it covers, the backends its executed probe supports, and the
-callable that produces its rows.  Specs are registered at import time
-with :func:`register_experiment`; :func:`load_all_experiments` imports
-the bundled experiment modules so discovery works from any entry point
-(the ``repro-bench`` CLI, the pytest shims in ``benchmarks/``, or the
-regression tests).
+k-sweep it covers, the callable that produces its rows, and the check
+that asserts the paper's shape claims on them.  Specs are registered at
+import time with :func:`register_experiment`; :func:`load_all_experiments`
+imports the bundled experiment modules so discovery works from any entry
+point (the ``repro-bench`` CLI, the pytest shims in ``benchmarks/``, or
+the regression tests).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _EXPERIMENT_MODULES = (
     "repro.bench.experiments.paper_figures",
     "repro.bench.experiments.ablations",
     "repro.bench.experiments.extensions",
-    "repro.bench.experiments.serving",
     "repro.bench.experiments.selection",
     "repro.bench.experiments.minibatch",
     "repro.bench.experiments.observability",
@@ -49,25 +48,12 @@ _REGISTRY: Dict[str, "ExperimentSpec"] = {}
 class RunConfig:
     """Options shared by every experiment in one ``repro-bench run``.
 
-    ``quick`` shrinks the dataset grid, k-sweep, and trial count to a
-    CI-friendly subset; ``backend`` / ``chunk_rows`` are forwarded to the
-    executed probes (the estimators accept the same keywords); ``n_trials``
-    is the multi-trial protocol width handed to :func:`repro.harness.run_trials`.
+    ``quick`` shrinks the dataset grids and k-sweeps to a CI-friendly
+    subset; ``base_seed`` seeds every executed workload.
     """
 
     quick: bool = False
-    backend: str = "auto"
-    chunk_rows: Optional[int] = None
-    n_trials: Optional[int] = None
     base_seed: int = 0
-
-    def trials(self) -> int:
-        """Effective trial count: explicit > quick default (2) > paper (4)."""
-        if self.n_trials is not None:
-            if self.n_trials < 1:
-                raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-            return self.n_trials
-        return 2 if self.quick else 4
 
 
 @dataclass(frozen=True)
@@ -103,15 +89,8 @@ class ExperimentSpec:
     datasets, k_values:
         The sweep the full-mode run covers (informational; quick mode
         subsets them via :mod:`repro.bench.experiments.common`).
-    backends:
-        Backends the executed probe supports.
     run:
         ``run(cfg) -> ExperimentResult`` — produces the rows/metrics.
-    probe:
-        Optional ``probe(cfg) -> (estimator_factory, fit)`` executed
-        through :func:`repro.harness.run_trials`; its measured wall-clock
-        stats become the experiment's real perf trajectory in the JSON
-        artifact.
     check:
         Optional ``check(result)`` asserting the paper's shape claims on
         a full-mode result (skipped in quick mode, where the sweep is
@@ -124,8 +103,6 @@ class ExperimentSpec:
     run: Callable[[RunConfig], ExperimentResult]
     datasets: Tuple[str, ...] = ()
     k_values: Tuple[int, ...] = ()
-    backends: Tuple[str, ...] = ("host", "device")
-    probe: Optional[Callable[[RunConfig], tuple]] = None
     check: Optional[Callable[[ExperimentResult], None]] = None
     tags: Tuple[str, ...] = ()
 

@@ -3,31 +3,24 @@
 The runner is what ``repro-bench run`` (and the CI bench job) drives:
 it executes any subset of the registry — optionally in parallel across
 processes — writes each experiment's legacy CSV (unchanged format, same
-``benchmarks/results/<exp_id>.csv`` paths), runs the executed probe
-through :func:`repro.harness.run_trials`, validates the paper's shape
+``benchmarks/results/<exp_id>.csv`` paths), validates the paper's shape
 claims in full mode, and consolidates everything into one
 schema-versioned ``BENCH_results.json`` (see :mod:`repro.bench.artifact`).
+It reads no clock: every number it reports is a modeled or counted
+one, so two runs of one tree on one machine write the same metrics.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..gpu import A100_80GB
-from ..harness import run_trials
 from ..reporting import format_table, write_csv_rows
-from .artifact import (
-    SCHEMA_VERSION,
-    device_metadata,
-    environment_metadata,
-    trial_record,
-    write_artifact,
-)
+from .artifact import SCHEMA_VERSION, device_metadata, environment_metadata, write_artifact
 from .registry import ExperimentResult, RunConfig, get_experiment
 
 __all__ = [
@@ -81,7 +74,6 @@ def run_experiment(
     *,
     results_dir: str = DEFAULT_RESULTS_DIR,
     write_csv: bool = True,
-    run_probe: bool = True,
     run_check: Optional[bool] = None,
 ) -> Tuple[Dict[str, object], str]:
     """Run one experiment end to end; returns (record, printable text).
@@ -92,19 +84,11 @@ def run_experiment(
     from ..obs import trace
 
     spec = get_experiment(exp_id)
-    t0 = time.perf_counter()
     with trace.span("bench.experiment", exp_id=exp_id, quick=cfg.quick):
         result = spec.run(cfg)
         do_check = (not cfg.quick) if run_check is None else run_check
         if do_check and spec.check is not None:
             spec.check(result)
-        probe = None
-        if run_probe and spec.probe is not None:
-            factory, fit = spec.probe(cfg)
-            probe = trial_record(
-                run_trials(factory, fit, n_trials=cfg.trials(), base_seed=cfg.base_seed)
-            )
-    wall = time.perf_counter() - t0
     text = ""
     if write_csv:
         text = emit_result(exp_id, spec.title, result, results_dir)
@@ -114,19 +98,15 @@ def run_experiment(
         "headers": list(result.headers),
         "rows": [list(r) for r in result.rows],
         "metrics": dict(result.metrics),
-        "probe": probe,
-        "wall_time_s": wall,
     }
     return record, text
 
 
 def _worker(args) -> Tuple[str, Optional[Dict[str, object]], str, Optional[str]]:
     """Process-pool entry: run one experiment, never raise."""
-    exp_id, cfg, results_dir, write_csv, run_probe = args
+    exp_id, cfg, results_dir, write_csv = args
     try:
-        record, text = run_experiment(
-            exp_id, cfg, results_dir=results_dir, write_csv=write_csv, run_probe=run_probe
-        )
+        record, text = run_experiment(exp_id, cfg, results_dir=results_dir, write_csv=write_csv)
         return exp_id, record, text, None
     except Exception:
         return exp_id, None, "", traceback.format_exc()
@@ -140,7 +120,6 @@ def run_experiments(
     results_dir: str = DEFAULT_RESULTS_DIR,
     jobs: int = 1,
     write_csv: bool = True,
-    run_probes: bool = True,
     echo=print,
 ) -> Tuple[Dict[str, object], Dict[str, str]]:
     """Run ``exp_ids`` and return ``(artifact, failures)``.
@@ -150,8 +129,7 @@ def run_experiments(
     requested order).  Failures never abort the sweep — they are reported
     per experiment so one broken figure doesn't hide the rest.
     """
-    t0 = time.perf_counter()
-    work = [(exp_id, cfg, results_dir, write_csv, run_probes) for exp_id in exp_ids]
+    work = [(exp_id, cfg, results_dir, write_csv) for exp_id in exp_ids]
     outcomes: List[Tuple[str, Optional[Dict[str, object]], str, Optional[str]]] = (
         pool_map(_worker, work, jobs)
     )
@@ -171,16 +149,9 @@ def run_experiments(
         "schema_version": SCHEMA_VERSION,
         "generated_by": "repro.bench",
         "repro_version": __version__,
-        "config": {
-            "quick": cfg.quick,
-            "backend": cfg.backend,
-            "chunk_rows": cfg.chunk_rows,
-            "n_trials": cfg.trials(),
-            "base_seed": cfg.base_seed,
-        },
+        "config": {"quick": cfg.quick, "base_seed": cfg.base_seed},
         "environment": environment_metadata(),
         "device_model": device_metadata(A100_80GB),
-        "total_wall_time_s": time.perf_counter() - t0,
         "experiments": experiments,
     }
     if out:

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix, check_labels
+from .._typing import as_matrix, check_finite, check_labels
 from ..config import DEFAULT_CONFIG
 from ..engine.base import OutOfSamplePredictor, shared_params
 from ..errors import ConfigError, ShapeError
@@ -146,7 +146,7 @@ class OnTheFlyKernelKMeans(OutOfSamplePredictor):
         )
         from ..distributed.sharding import check_shard_count
 
-        xm = as_matrix(x, dtype=self.dtype, name="x")
+        xm = check_finite(as_matrix(x, dtype=self.dtype, name="x"), name="x")
         n, d = xm.shape
         k = self.n_clusters
         if k > n:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix, as_vector
+from .._typing import as_matrix, as_vector, check_finite
 from ..config import DEFAULT_CONFIG
 from ..engine.base import BaseKernelKMeans, shared_params
 from ..errors import ConfigError, ShapeError
@@ -226,14 +226,17 @@ class PopcornKernelKMeans(BaseKernelKMeans):
 
         # ---- kernel matrix (Alg. 2 lines 1-2) -------------------------
         if kernel_matrix is not None:
-            km = as_matrix(kernel_matrix, dtype=self.dtype, name="kernel_matrix")
+            km = check_finite(
+                as_matrix(kernel_matrix, dtype=self.dtype, name="kernel_matrix"),
+                name="kernel_matrix",
+            )
             if km.shape[0] != km.shape[1]:
                 raise ShapeError("kernel_matrix must be square")
             state.backend.load_kernel_matrix(state, km)
             self.gram_method_ = "precomputed"
             self._train_x = None
         else:
-            xm = as_matrix(x, dtype=self.dtype, name="x")
+            xm = check_finite(as_matrix(x, dtype=self.dtype, name="x"), name="x")
             state.backend.compute_kernel_matrix(
                 state, xm, self.kernel, method=self.gram_method, threshold=self.gram_threshold
             )

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .._typing import as_matrix, as_vector
+from .._typing import as_matrix, as_vector, check_finite
 from ..engine.base import BaseKernelKMeans, shared_params
 from ..errors import ConfigError, ShapeError
 from ..estimators import register_estimator
@@ -152,7 +152,10 @@ class WeightedPopcornKernelKMeans(BaseKernelKMeans):
         if kernel_matrix is not None:
             if x is not None:
                 raise ConfigError("pass points x or kernel_matrix, not both")
-            km = as_matrix(kernel_matrix, dtype=np.float64, name="kernel_matrix")
+            km = check_finite(
+                as_matrix(kernel_matrix, dtype=np.float64, name="kernel_matrix"),
+                name="kernel_matrix",
+            )
             n = km.shape[0]
             if km.shape != (n, n):
                 raise ShapeError("kernel_matrix must be square")
@@ -160,7 +163,7 @@ class WeightedPopcornKernelKMeans(BaseKernelKMeans):
             state.backend.load_kernel_matrix(state, km)
             xm = None
         else:
-            xm = as_matrix(x, dtype=np.float64, name="x")
+            xm = check_finite(as_matrix(x, dtype=np.float64, name="x"), name="x")
             # the pre-redesign signature took the kernel matrix as the
             # first positional argument; a square symmetric x is almost
             # certainly a legacy call that would silently cluster K as

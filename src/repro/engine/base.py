@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import DEFAULT_CONFIG
-from .._typing import as_matrix, check_labels
+from .._typing import as_matrix, check_finite, check_labels
 from ..errors import ConfigError, ShapeError
 from ..gpu.device import Device
 from ..gpu.spec import A100_80GB, DeviceSpec
@@ -338,7 +338,7 @@ class OutOfSamplePredictor(ParamsProtocol):
                     f"{type(self).__name__} predicts from explicit centers; "
                     "pass query points x instead of cross_kernel"
                 )
-            kc = _finite(as_matrix(cross_kernel, name="cross_kernel"), "cross_kernel")
+            kc = check_finite(as_matrix(cross_kernel, name="cross_kernel"), name="cross_kernel")
             # after partial_fit the support can outgrow the last batch's
             # labels_, so the column count comes from the selection matrix
             v = self._support_v
@@ -357,13 +357,13 @@ class OutOfSamplePredictor(ParamsProtocol):
         if x is None:
             raise ShapeError("predict needs query points x (or a cross_kernel)")
         if self._support_centers is not None:
-            xm = _finite(as_matrix(x, dtype=np.float64, name="x"), "x")
+            xm = check_finite(as_matrix(x, dtype=np.float64, name="x"), name="x")
             return self._assign_centers(xm, rows, threads)
         if self._support_x is None:
             raise ShapeError(
                 "estimator was fitted on a precomputed kernel; pass cross_kernel"
             )
-        xm = _finite(as_matrix(x, dtype=dtype, name="x"), "x")
+        xm = check_finite(as_matrix(x, dtype=dtype, name="x"), name="x")
         kernel = getattr(self, "kernel", None)
         if kernel is None:
             raise ConfigError(f"{type(self).__name__} has no kernel to evaluate queries with")
@@ -481,13 +481,6 @@ class OutOfSamplePredictor(ParamsProtocol):
                 allgather_cost(self._serve_comm_spec(), len(shards), 4.0 * m).with_phase("serve")
             )
         return out
-
-
-def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    """``a`` itself, or :class:`~repro.errors.ConfigError` if it holds NaN or inf."""
-    if not np.isfinite(a).all():
-        raise ConfigError(f"{name} holds NaN or inf values")
-    return a
 
 
 def resolve_kernel(kernel):

@@ -61,12 +61,12 @@ capability tag (:mod:`repro.estimators`); the uniform surface is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .._typing import INDEX_DTYPE, as_matrix, as_vector
+from .._typing import INDEX_DTYPE, as_matrix, as_vector, check_finite
 from ..errors import ConfigError, ShapeError
 from ..obs import metrics, trace
 from ..sparse import CSRMatrix
@@ -482,7 +482,10 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
         )
 
     if precomputed_mode:
-        km = as_matrix(kernel_matrix, dtype=est.dtype, name="kernel_matrix")
+        km = check_finite(
+            as_matrix(kernel_matrix, dtype=est.dtype, name="kernel_matrix"),
+            name="kernel_matrix",
+        )
         n = km.shape[0]
         if km.shape != (n, n):
             raise ShapeError("kernel_matrix must be square")
@@ -495,7 +498,7 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
         km64 = km.astype(np.float64, copy=False)
         xm = None
     else:
-        xm = as_matrix(x, dtype=est.dtype, name="x")
+        xm = check_finite(as_matrix(x, dtype=est.dtype, name="x"), name="x")
         n = xm.shape[0]
         kernel = getattr(est, "kernel", None)
         if kernel is None:

@@ -80,7 +80,8 @@ def register_estimator(name: str, *, capabilities: Tuple[str, ...] = ()):
     :func:`estimator_capabilities` / ``available_estimators(tag=...)``
     instead of sniffing for methods.  Duplicate names are a
     :class:`~repro.errors.ConfigError` unless they re-register the
-    identical class (idempotent re-imports are fine).
+    identical class, which is a no-op: it keeps the capabilities the
+    class was first registered with.
     """
     bad = set(capabilities) - set(CAPABILITY_TAGS)
     if bad:
@@ -91,7 +92,9 @@ def register_estimator(name: str, *, capabilities: Tuple[str, ...] = ()):
 
     def decorate(cls: type) -> type:
         existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
+        if existing is cls:
+            return cls
+        if existing is not None:
             raise ConfigError(
                 f"estimator name {name!r} is already registered to "
                 f"{existing.__name__}"

@@ -36,7 +36,7 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from .._typing import as_matrix
+from .._typing import as_matrix, check_finite
 from ..baselines.lloyd import LloydKMeans
 from ..config import DEFAULT_CONFIG
 from ..core.weighted import WeightedPopcornKernelKMeans
@@ -316,8 +316,9 @@ class SpectralKernelKMeans(BaseKernelKMeans):
         )
         if x is None:
             raise ShapeError("fit needs a point cloud x to build the kNN graph from")
-        n = np.asarray(x).shape[0]
-        g = knn_graph(x, self.n_neighbors, mode=self.mode)
+        xm = check_finite(as_matrix(x, dtype=np.float64, name="x"), name="x")
+        n = xm.shape[0]
+        g = knn_graph(xm, self.n_neighbors, mode=self.mode)
         self.graph_ = g
         a = nx.to_numpy_array(g, nodelist=range(n), weight="weight")
         best = _cluster_adjacency(

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._typing import check_finite
 from ..errors import ConfigError, Overloaded
 from ..gpu.launch import Launch
 from ..gpu.profiler import Profiler
@@ -156,8 +157,7 @@ class ServingCore:
         row = np.ascontiguousarray(np.asarray(query, dtype=np.float64))
         if row.ndim != 1:
             raise ConfigError(f"submit takes one 1-D query row, got shape {row.shape}")
-        if not np.isfinite(row).all():
-            raise ConfigError("query row holds NaN or inf values")
+        check_finite(row, name="query row")
         h = hashlib.sha1()
         h.update(str(row.shape).encode())
         h.update(row.tobytes())

@@ -8,6 +8,8 @@ contract, pinned.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.core import SourceModule, run_rules
 from repro.analysis.rules import (
     DenseMaterialisationRule,
@@ -306,11 +308,22 @@ class TestRPR108Nondeterminism:
         )
         assert out == []
 
+    @pytest.mark.parametrize(
+        "clock", ["perf_counter", "perf_counter_ns", "monotonic", "process_time"]
+    )
+    def test_flags_interval_clocks(self, clock):
+        out = _findings(
+            NondeterminismRule(), f"import time\nt = time.{clock}()\n", self.PATH
+        )
+        assert [f.rule for f in out] == ["RPR108"]
+        assert f"time.{clock}()" in out[0].message
+
     def test_perf_counter_passes(self):
+        """The clock ban covers the experiments package only."""
         out = _findings(
             NondeterminismRule(),
             "import time\nt = time.perf_counter()\n",
-            self.PATH,
+            "src/repro/bench/runner.py",
         )
         assert out == []
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench import SCHEMA_VERSION, load_artifact
 from repro.bench.cli import main
 
@@ -9,7 +11,7 @@ from repro.bench.cli import main
 def test_list_prints_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "24 experiments registered" in out
+    assert "23 experiments registered" in out
     for exp_id in ("table2", "fig5", "ablation_norms", "ext_engine_tiling", "ext_strong_scaling"):
         assert exp_id in out
 
@@ -23,8 +25,6 @@ def test_run_only_writes_json_and_csv(tmp_path, capsys):
             "table2,fig7",
             "--quick",
             "--csv",
-            "--trials",
-            "1",
             "--out",
             str(out_json),
             "--results-dir",
@@ -46,8 +46,6 @@ def test_run_quick_skips_csv_by_default(tmp_path):
             "--only",
             "table2",
             "--quick",
-            "--trials",
-            "1",
             "--out",
             str(tmp_path / "b.json"),
             "--results-dir",
@@ -59,7 +57,7 @@ def test_run_quick_skips_csv_by_default(tmp_path):
 
 
 def test_run_parallel_jobs_matches_serial(tmp_path):
-    kwargs = ["--quick", "--trials", "1", "--no-csv", "--only", "fig7,ext_engine_tiling"]
+    kwargs = ["--quick", "--no-csv", "--only", "fig7,ext_engine_tiling"]
     assert main(["run", *kwargs, "--out", str(tmp_path / "serial.json")]) == 0
     assert main(["run", *kwargs, "--jobs", "2", "--out", str(tmp_path / "par.json")]) == 0
     serial = json.loads((tmp_path / "serial.json").read_text())["experiments"]
@@ -84,8 +82,6 @@ def test_compare_exit_codes(tmp_path, capsys):
             "--only",
             "fig7",
             "--quick",
-            "--trials",
-            "1",
             "--no-csv",
             "--out",
             str(tmp_path / "old.json"),
@@ -116,6 +112,25 @@ def test_compare_exit_codes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--only", "table2", "--backend", "host"],
+        ["run", "--only", "table2", "--chunk-rows", "64"],
+        ["run", "--only", "table2", "--trials", "1"],
+        ["run", "--only", "table2", "--no-probes"],
+        ["compare", "a.json", "b.json", "--metrics", "time."],
+        ["compare", "a.json", "b.json", "--exclude", "time."],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    """The probe knobs and the metric filters are gone, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_compare_schema_error_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99, "experiments": {}}))
@@ -129,7 +144,7 @@ def test_compare_schema_error_is_exit_2(tmp_path, capsys):
 def test_run_out_creates_parent_dirs(tmp_path):
     out = tmp_path / "deep" / "nested" / "b.json"
     rc = main(
-        ["run", "--only", "table2", "--quick", "--trials", "1", "--no-csv", "--out", str(out)]
+        ["run", "--only", "table2", "--quick", "--no-csv", "--out", str(out)]
     )
     assert rc == 0
     assert out.exists()
@@ -142,6 +157,6 @@ def test_emit_creates_results_dir(tmp_path):
     target = tmp_path / "not" / "there" / "yet"
     assert not target.exists()
     run_experiment(
-        "table2", RunConfig(quick=True, n_trials=1), results_dir=str(target), write_csv=True
+        "table2", RunConfig(quick=True), results_dir=str(target), write_csv=True
     )
     assert (target / "table2.csv").exists()

@@ -6,16 +6,7 @@ from repro.bench import SCHEMA_VERSION, compare_artifacts, format_comparison
 from repro.errors import ConfigError
 
 
-def make_artifact(metrics, exp_id="exp", probe_mean=None):
-    probe = None
-    if probe_mean is not None:
-        probe = {
-            "n_trials": 2,
-            "total_time": {"mean": probe_mean, "std": 0.0, "min": probe_mean, "max": probe_mean},
-            "objective": {"mean": 1.0, "std": 0.0, "min": 1.0, "max": 1.0},
-            "n_iter": {"mean": 5, "std": 0.0, "min": 5, "max": 5},
-            "phases": {},
-        }
+def make_artifact(metrics, exp_id="exp"):
     return {
         "schema_version": SCHEMA_VERSION,
         "experiments": {
@@ -25,8 +16,6 @@ def make_artifact(metrics, exp_id="exp", probe_mean=None):
                 "headers": ["a"],
                 "rows": [[1]],
                 "metrics": dict(metrics),
-                "probe": probe,
-                "wall_time_s": 0.1,
             }
         },
     }
@@ -70,16 +59,21 @@ class TestThresholdEdges:
     def test_bad_threshold(self):
         a = make_artifact({"time.x": 1.0})
         with pytest.raises(ConfigError, match="threshold"):
-            compare_artifacts(a, a, threshold=0.0)
+            compare_artifacts(a, a, threshold=-0.1)
+
+    def test_zero_threshold_flags_any_change(self):
+        """The metrics are deterministic, so threshold 0 is a usable gate."""
+        old = make_artifact({"time.x": 1.0, "quality.q": 0.5})
+        cmp = compare_artifacts(old, make_artifact({"time.x": 1.0, "quality.q": 0.5}), 0.0)
+        assert cmp.ok and not cmp.improvements
+        nudged = make_artifact({"time.x": 1.0 + 1e-12, "quality.q": 0.5})
+        worse = compare_artifacts(old, nudged, 0.0)
+        assert [d.metric for d in worse.regressions] == ["time.x"]
+        better = compare_artifacts(old, make_artifact({"time.x": 1.0, "quality.q": 0.6}), 0.0)
+        assert better.ok and [d.metric for d in better.improvements] == ["quality.q"]
 
 
 class TestCoverageSemantics:
-    def test_probe_mean_is_gated(self):
-        old = make_artifact({}, probe_mean=1.0)
-        new = make_artifact({}, probe_mean=1.5)
-        cmp = compare_artifacts(old, new, threshold=0.2)
-        assert [d.metric for d in cmp.regressions] == ["time.probe_total_mean_s"]
-
     def test_missing_experiment_in_new_is_warned_not_failed(self):
         old = make_artifact({"time.x": 1.0}, exp_id="gone")
         new = make_artifact({"time.x": 1.0}, exp_id="fresh")
@@ -121,35 +115,7 @@ class TestFormatting:
 
 
 class TestMetricFilters:
-    """The CI split: deterministic metrics block, probe wall-times warn."""
-
-    def test_exclude_prefix_drops_probe_regression(self):
-        old = make_artifact({"time.model_s": 1.0}, probe_mean=1.0)
-        new = make_artifact({"time.model_s": 1.0}, probe_mean=10.0)
-        assert not compare_artifacts(old, new, threshold=0.2).ok
-        assert compare_artifacts(old, new, threshold=0.2, exclude=("time.probe",)).ok
-
-    def test_exclude_does_not_mask_modeled_time(self):
-        old = make_artifact({"time.model_s": 1.0}, probe_mean=1.0)
-        new = make_artifact({"time.model_s": 2.0}, probe_mean=1.0)
-        cmp = compare_artifacts(old, new, threshold=0.2, exclude=("time.probe",))
-        assert not cmp.ok
-        assert cmp.regressions[0].metric == "time.model_s"
-
-    def test_include_prefixes_select_only_matches(self):
-        old = make_artifact({"time.x": 1.0, "quality.ari": 1.0})
-        new = make_artifact({"time.x": 9.0, "quality.ari": 1.0})
-        cmp = compare_artifacts(old, new, threshold=0.2, include=("quality.",))
-        assert cmp.ok
-        assert all(d.metric.startswith("quality.") for d in cmp.deltas)
-
-    def test_exclude_wins_over_include(self):
-        old = make_artifact({"time.probe_total_mean_s_like": 1.0, "time.x": 1.0})
-        new = make_artifact({"time.probe_total_mean_s_like": 9.0, "time.x": 1.0})
-        cmp = compare_artifacts(
-            old, new, threshold=0.2, include=("time.",), exclude=("time.probe",)
-        )
-        assert cmp.ok
+    """Each metric kind regresses in its own direction."""
 
     def test_comm_kind_is_lower_is_better(self):
         from repro.bench.artifact import metric_lower_is_better

@@ -105,8 +105,8 @@ class TestBenchSpans:
         from repro.bench import RunConfig, run_experiment
 
         run_experiment(
-            "fig5", RunConfig(quick=True, n_trials=1),
-            results_dir=str(tmp_path), write_csv=False, run_probe=False,
+            "fig5", RunConfig(quick=True),
+            results_dir=str(tmp_path), write_csv=False,
         )
         summary = traced()
         assert summary["bench.experiment"]["count"] == 1

@@ -48,7 +48,9 @@ class TestRegistry:
 
     def test_reregistering_same_class_is_idempotent(self):
         cls = get_estimator_class("popcorn")
+        caps = cls._capabilities
         assert register_estimator("popcorn")(cls) is cls
+        assert cls._capabilities == caps  # no capability is dropped
 
     def test_unregistered_class_has_no_name(self):
         with pytest.raises(ConfigError, match="not a registered estimator"):

@@ -8,13 +8,16 @@ capacity pre-checks, and malformed numerical inputs.
 import numpy as np
 import pytest
 
-from repro import PopcornKernelKMeans
+from repro import PopcornKernelKMeans, available_estimators, make_estimator
 from repro.baselines import BaselineCUDAKernelKMeans
 from repro.data import make_blobs
-from repro.errors import AllocationError, ShapeError
+from repro.errors import AllocationError, ConfigError, ShapeError
 from repro.gpu import Device, DeviceSpec
 
 TINY = DeviceSpec("tiny-gpu", peak_fp32_gflops=19500, mem_bw_gbps=1935, mem_capacity_gb=1e-4)
+
+#: the estimators whose fit accepts a precomputed kernel_matrix
+KERNEL_MATRIX_ESTIMATORS = ("baseline", "distributed", "popcorn", "prmlt", "weighted")
 
 
 class TestCapacityPrecheck:
@@ -55,10 +58,8 @@ class TestMalformedInputs:
     def test_nan_input_produces_nan_free_error_or_labels(self):
         """NaNs must not crash the pipeline with an obscure error."""
         x = np.full((20, 3), np.nan, dtype=np.float32)
-        # the distance matrix degenerates; argmin still yields labels —
-        # verify we at least terminate and return the right shapes
-        m = PopcornKernelKMeans(2, seed=0, max_iter=3, check_convergence=False).fit(x)
-        assert m.labels_.shape == (20,)
+        with pytest.raises(ConfigError, match="NaN or inf"):
+            PopcornKernelKMeans(2, seed=0, max_iter=3, check_convergence=False).fit(x)
 
     def test_zero_variance_data(self):
         x = np.ones((30, 4), dtype=np.float32)
@@ -83,3 +84,38 @@ class TestMalformedInputs:
     def test_empty_input_rejected(self):
         with pytest.raises(Exception):
             PopcornKernelKMeans(2).fit(np.zeros((0, 3), dtype=np.float32))
+
+
+def _points_with(bad: float) -> np.ndarray:
+    x, _ = make_blobs(60, 4, 3, rng=0)
+    x = np.array(x, dtype=np.float64)
+    x[7, 2] = bad
+    return x
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(available_estimators()))
+def test_fit_rejects_non_finite_x(name, bad):
+    """One NaN or inf entry fails the fit with a typed error, never labels."""
+    est = make_estimator(name, n_clusters=3, seed=0)
+    with pytest.raises(ConfigError, match="NaN or inf"):
+        est.fit(_points_with(bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", KERNEL_MATRIX_ESTIMATORS)
+def test_fit_rejects_non_finite_kernel_matrix(name, bad):
+    x = _points_with(0.0)
+    km = x @ x.T
+    km[7, 2] = km[2, 7] = bad
+    est = make_estimator(name, n_clusters=3, seed=0)
+    with pytest.raises(ConfigError, match="NaN or inf"):
+        est.fit(kernel_matrix=km)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", available_estimators(tag="supports_partial_fit"))
+def test_partial_fit_rejects_non_finite_x(name, bad):
+    est = make_estimator(name, n_clusters=3, seed=0, batch_size=20)
+    with pytest.raises(ConfigError, match="NaN or inf"):
+        est.partial_fit(_points_with(bad))
