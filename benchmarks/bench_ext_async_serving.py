@@ -31,7 +31,7 @@ def test_async_serving(benchmark, tmp_path):
 
     async def burst():
         async with AsyncPredictionServer(
-            model, batch_size=24, max_delay_ms=1.0, n_workers=1, cache_size=0,
+            model, batch_size=24, n_workers=1, cache_size=0,
         ) as server:
             futures = [
                 server.submit_nowait(queries[i])

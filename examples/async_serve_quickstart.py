@@ -35,7 +35,7 @@ async def serve(path: str, model, queries: np.ndarray) -> None:
 
     # --- coalescing: a duplicate-heavy burst --------------------------
     async with AsyncPredictionServer(
-        path, batch_size=32, max_delay_ms=1.0, cache_size=0, processes=False
+        path, batch_size=32, cache_size=0, processes=False
     ) as server:
         futures = [
             server.submit_nowait(queries[i])
@@ -76,7 +76,7 @@ async def serve(path: str, model, queries: np.ndarray) -> None:
     rows = []
     for qps in (500.0, 4000.0):
         async with AsyncPredictionServer(
-            path, batch_size=32, max_delay_ms=1.0, queue_bound=1024,
+            path, batch_size=32, queue_bound=1024,
             cache_size=0, processes=False,
         ) as server:
             rep = await open_loop_load(server, queries, qps)

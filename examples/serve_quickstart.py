@@ -51,7 +51,7 @@ def main() -> None:
 
     # --- serve ---------------------------------------------------------
     with PredictionService(
-        served_model, batch_size=64, max_delay_ms=2.0, n_workers=2, cache_size=1024
+        served_model, batch_size=64, n_workers=2, cache_size=1024
     ) as svc:
         head = svc.predict_many(stream[:700])
         tail = svc.predict_many(stream[700:])

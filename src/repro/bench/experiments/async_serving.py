@@ -67,7 +67,7 @@ async def _coalesce_phase(model, queries: np.ndarray, repeats: int):
 
     u = queries.shape[0]
     async with AsyncPredictionServer(
-        model, batch_size=u, max_delay_ms=1.0, n_workers=1, cache_size=0,
+        model, batch_size=u, n_workers=1, cache_size=0,
     ) as server:
         futures = [
             server.submit_nowait(queries[i])
@@ -85,7 +85,7 @@ async def _shed_phase(model, queries: np.ndarray, bound: int):
     from ...serve import AsyncPredictionServer
 
     async with AsyncPredictionServer(
-        model, batch_size=bound, max_delay_ms=1.0, n_workers=1,
+        model, batch_size=bound, n_workers=1,
         queue_bound=bound, cache_size=0,
     ) as server:
         accepted, shed = [], 0

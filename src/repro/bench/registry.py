@@ -37,6 +37,7 @@ _EXPERIMENT_MODULES = (
     "repro.bench.experiments.extensions",
     "repro.bench.experiments.selection",
     "repro.bench.experiments.minibatch",
+    "repro.bench.experiments.reduction",
     "repro.bench.experiments.observability",
     "repro.bench.experiments.async_serving",
 )

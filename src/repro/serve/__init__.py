@@ -83,7 +83,7 @@ npz key           contents
 Serving knobs
 -------------
 Both doors take one :class:`ServeConfig`; its docstring lists every knob
-(batch window, queue bound, workers, cache, chunk schedule, devices).
+(batch size, queue bound, workers, cache, chunk schedule, devices).
 
 Lock discipline (``_guarded_by``)
 ---------------------------------

@@ -128,7 +128,7 @@ def workers_for(
 
     Returns ``None`` when the target sits past the ingress ceiling —
     the autoscaler's signal that scaling out cannot meet the SLO and
-    the batch window itself must grow.  ``**workload`` takes the same
+    the batch size itself must grow.  ``**workload`` takes the same
     keywords as :func:`saturation_curve` (minus ``workers``).
     """
     if target_qps <= 0:

@@ -94,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--chunk-cols", dest="chunk_cols", type=int, default=None, metavar="C")
         sp.add_argument("--n-threads", dest="n_threads", type=int, default=None, metavar="T")
 
-    def add_serve_flags(sp, batch_size, max_delay_ms, workers, cache_size, devices=None):
+    def add_serve_flags(sp, batch_size, workers, cache_size, devices=None):
         # the ServeConfig knobs (see _serve_config), with this subcommand's defaults
         sp.add_argument("--batch-size", type=int, default=batch_size)
-        sp.add_argument("--max-delay-ms", type=float, default=max_delay_ms)
+        sp.add_argument("--max-delay-ms", type=float, default=None,
+                        help="deprecated and ignored: a free worker takes what is queued at once")
         sp.add_argument("--workers", type=int, default=workers)
         sp.add_argument("--cache-size", type=int, default=cache_size)
         if devices is not None:
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred_p.add_argument("--input", required=True,
                         help="query file (CSV, libsvm, or .jsonl)")
     pred_p.add_argument("--output", default=None, help="write labels here (default: stdout)")
-    add_serve_flags(pred_p, 64, 1.0, 1, 1024, devices=shard_help)
+    add_serve_flags(pred_p, 64, 1, 1024, devices=shard_help)
     add_reduction_flags(pred_p)
     pred_p.add_argument("--stats", action="store_true", help="print serving stats")
     pred_p.add_argument(
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser("serve", help="stdin-JSONL serving loop")
     serve_p.add_argument("model", help="artifact path")
-    add_serve_flags(serve_p, 64, 2.0, 2, 4096, devices=shard_help)
+    add_serve_flags(serve_p, 64, 2, 4096, devices=shard_help)
     add_reduction_flags(serve_p)
     add_trace_flag(serve_p)
 
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", type=int, default=256, metavar="N",
         help="synthetic query count when --input is not given",
     )
-    add_serve_flags(stats_p, 64, 1.0, 1, 1024)
+    add_serve_flags(stats_p, 64, 1, 1024)
     stats_p.add_argument("-s", dest="seed", type=int, default=0, help="RNG seed")
     stats_p.add_argument(
         "--format", dest="format", default="table",
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", default=None,
         help="query file (CSV, libsvm, or .jsonl); default: synthetic queries",
     )
-    add_serve_flags(load_gen, 32, 2.0, 2, 0,
+    add_serve_flags(load_gen, 32, 2, 0,
                     devices="shard each worker's batches across G simulated devices")
     load_gen.add_argument("--queue-bound", type=int, default=None, metavar="B",
                           help="admission-control bound (default: admit everything)")

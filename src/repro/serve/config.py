@@ -15,6 +15,7 @@ arithmetic with the bare label keeps working.
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, Optional
 
 from ..errors import ConfigError
@@ -46,8 +47,8 @@ class ServeConfig(ParamsProtocol):
     batch_size:
         Maximum requests fused into one backend predict call.
     max_delay_ms:
-        How long the batcher waits for the batch to fill after the first
-        request arrives — the latency/throughput knob.
+        Deprecated and ignored: no batcher waits for a batch to fill.
+        Still validated (>= 0); passing it warns ``DeprecationWarning``.
     n_workers:
         Concurrent batch servers: worker threads for
         ``PredictionService``, shard worker processes (or inline
@@ -72,7 +73,7 @@ class ServeConfig(ParamsProtocol):
 
     _params = (
         ParamSpec("batch_size", default=32, convert=_int_knob, low=1),
-        ParamSpec("max_delay_ms", default=2.0, convert=float, low=0.0),
+        ParamSpec("max_delay_ms", default=None, convert=optional(float), low=0.0),
         ParamSpec("n_workers", default=1, convert=_int_knob, low=1),
         ParamSpec("queue_bound", default=None, convert=optional(_int_knob), low=1),
         ParamSpec("cache_size", default=1024, convert=_int_knob, low=0),
@@ -84,12 +85,18 @@ class ServeConfig(ParamsProtocol):
     )
 
     def __init__(self, **params) -> None:
+        if params.get("max_delay_ms") is not None:
+            warnings.warn(
+                "ServeConfig(max_delay_ms=) is deprecated and ignored: a free "
+                "worker takes whatever is queued without waiting",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self._init_params(**params)
 
-    @property
-    def max_delay_s(self) -> float:
-        """The batch-fill wait in seconds (what the batchers consume)."""
-        return self.max_delay_ms / 1e3
+    def clone(self) -> "ServeConfig":
+        # set_params validates like __init__, without repeating its warning
+        return type(self)().set_params(**self.get_params(deep=False))
 
     def predict_kwargs(self) -> Dict[str, Optional[int]]:
         """The reduction-schedule keywords forwarded to ``predict``."""

@@ -2,14 +2,18 @@
 
 :class:`~repro.serve.PredictionService` (worker threads) and
 :class:`~repro.serve.AsyncPredictionServer` (asyncio + shard workers)
-differ only in *transport*: how a request waits for a batch, and how a
-batch reaches the backend.  Every serving *decision* lives here, once:
+differ only in *transport*: how a free worker waits for queued rows,
+and how a batch reaches the backend.  Every serving *decision* lives
+here, once:
 
 * **admission** — the row check (one finite 1-D row), the row digest,
   the LRU label cache, coalescing of identical in-flight rows (a
   duplicate rides on the original's backend row and never takes a queue
   slot), and shedding against ``queue_bound`` with
   :class:`~repro.errors.Overloaded`;
+* **batch forming** — work-conserving: a free worker takes what is
+  queued, up to ``batch_size`` rows, so rows fuse only while they queue
+  behind busy workers;
 * **resolution** — answering every waiter of a served batch (or failing
   it), the version-guarded cache write-back, and the profiler launch
   record;
@@ -84,12 +88,11 @@ def percentile(values: Sequence[float], q: float) -> float:
 class Pending:
     """One unique in-flight query row and every request waiting on it."""
 
-    __slots__ = ("row", "key", "t0", "waiters")
+    __slots__ = ("row", "key", "waiters")
 
     def __init__(self, row: np.ndarray, key: str, t0: float, future) -> None:
         self.row = row
         self.key = key
-        self.t0 = t0
         #: (future, t_enqueue) pairs; index 0 is the request that took
         #: the queue slot, the rest coalesced onto it
         self.waiters: List[Tuple[object, float]] = [(future, t0)]
@@ -227,6 +230,15 @@ class ServingCore:
             metrics.gauge("serve.queue_depth").max(depth + 1)
             trace.instant("serve.enqueue", queued=depth + 1)
         return fut, pending
+
+    # ------------------------------------------------------------------
+    # batch forming
+    # ------------------------------------------------------------------
+    def take_batch(self, queue: deque) -> List[Pending]:
+        """Pop up to ``batch_size`` rows off the door's ``queue`` (under
+        the door's guard), never waiting for more; a door calls this as
+        soon as a worker is free."""
+        return [queue.popleft() for _ in range(min(len(queue), self.config.batch_size))]
 
     # ------------------------------------------------------------------
     # resolution

@@ -5,10 +5,13 @@
 :class:`~repro.serve.core.ServingCore` — cache, coalescing, admission,
 swap bookkeeping, stats — over its own transport:
 
-* **backpressure-aware micro-batching** — one batcher task drains the
-  queue into batches of up to ``batch_size`` (waiting ``max_delay_ms``
-  for the batch to fill), and a dispatch semaphore sized to the worker
-  pool stops it from racing ahead of the backend;
+* **work-conserving micro-batching** — one batcher task waits for a
+  free worker (a dispatch semaphore sized to the pool), then takes
+  whatever is queued by then, up to ``batch_size`` rows
+  (:meth:`ServingCore.take_batch
+  <repro.serve.core.ServingCore.take_batch>`): an idle door serves a
+  lone row at once, and rows that arrive while every worker is busy
+  ride in the next batch;
 * **shard worker fan-out** — batches are served by a
   :class:`~repro.serve.worker.ShardWorkerPool` of model replicas
   (worker processes loaded from a versioned artifact, or inline
@@ -22,7 +25,7 @@ Batches are traced as ``serve.async.batch`` spans and the worker hop as
 
 Determinism note: asyncio is single-threaded, so a *synchronous* burst
 of :meth:`~AsyncPredictionServer.submit_nowait` calls enqueues every
-request before the batcher task runs once.  Shed counts
+request before the batcher task runs again.  Shed counts
 (``N - queue_bound``) and coalescing counts (backend rows == unique
 digests) are therefore exact, not timing-dependent — the property the
 ``ext_async_serving`` bench experiment's blocking metrics rest on.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
@@ -50,9 +54,6 @@ from .core import Pending, ServingCore, percentile
 from .worker import ShardWorkerPool, load_replica
 
 __all__ = ["AsyncPredictionServer", "LoadReport", "open_loop_load"]
-
-#: queue sentinel ending the batcher task
-_CLOSE = object()
 
 
 class AsyncPredictionServer:
@@ -94,6 +95,7 @@ class AsyncPredictionServer:
         "_started": "event-loop",
         "_closed": "event-loop",
         "_pool": "event-loop",
+        "_queue": "event-loop",
     }
     _off_loop_methods = ("swap_artifact",)
 
@@ -120,6 +122,7 @@ class AsyncPredictionServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = False
         self._closed = False
+        self._queue: deque = deque()
 
     @property
     def model(self):
@@ -150,7 +153,8 @@ class AsyncPredictionServer:
         # worker-process startup blocks on fork/exec + artifact load;
         # keep it off the event loop
         self._pool = await self._loop.run_in_executor(None, self._build_pool)
-        self._queue: "asyncio.Queue" = asyncio.Queue()
+        # set by every enqueue and by close: what the batcher waits on
+        self._wakeup = asyncio.Event()
         self._dispatch_sem = asyncio.Semaphore(self.config.n_workers)
         self._dispatch_tasks: set = set()
         self._batcher = self._loop.create_task(self._batch_loop())
@@ -179,9 +183,8 @@ class AsyncPredictionServer:
             return
         self._closed = True
         if not drain:
-            while not self._queue.empty():
-                self._queue.get_nowait()
-        self._queue.put_nowait(_CLOSE)
+            self._queue.clear()
+        self._wakeup.set()
         await self._batcher
         if self._dispatch_tasks:
             await asyncio.gather(*list(self._dispatch_tasks), return_exceptions=True)
@@ -205,9 +208,10 @@ class AsyncPredictionServer:
         if self._closed:
             raise ConfigError("server is closed")
         row, key = self._core.check(query)
-        fut, pending = self._core.admit(row, key, self._queue.qsize(), self._loop.create_future)
+        fut, pending = self._core.admit(row, key, len(self._queue), self._loop.create_future)
         if pending is not None:
-            self._queue.put_nowait(pending)
+            self._queue.append(pending)
+            self._wakeup.set()
         return fut
 
     async def submit(self, query) -> ServeResult:
@@ -237,40 +241,20 @@ class AsyncPredictionServer:
     # batching + dispatch
     # ------------------------------------------------------------------
     async def _batch_loop(self) -> None:
-        cfg = self.config
-        delay = cfg.max_delay_s
-        loop = self._loop
         while True:
-            first = await self._queue.get()
-            if first is _CLOSE:
-                return
-            batch = [first]
-            deadline = loop.time() + delay
-            closing = False
-            while len(batch) < cfg.batch_size:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
-                if nxt is _CLOSE:
-                    closing = True
-                    break
-                batch.append(nxt)
-            # wait for a worker slot before accepting the next batch: the
-            # pool's capacity, mirrored on the loop, is the backpressure
-            # that stops the batcher from racing ahead of the backend
+            # a free worker first (the pool's capacity, mirrored on the
+            # loop), then whatever queued by the time it was free: rows
+            # that arrive while every worker is busy ride in this batch
             await self._dispatch_sem.acquire()
-            task = loop.create_task(self._dispatch_batch(batch))
+            while not self._queue and not self._closed:
+                self._wakeup.clear()
+                await self._wakeup.wait()
+            batch = self._core.take_batch(self._queue)
+            if not batch:
+                return  # closed and drained
+            task = self._loop.create_task(self._dispatch_batch(batch))
             self._dispatch_tasks.add(task)
             task.add_done_callback(self._dispatch_done)
-            if closing:
-                return
 
     def _dispatch_done(self, task: asyncio.Task) -> None:
         self._dispatch_tasks.discard(task)

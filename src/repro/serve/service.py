@@ -3,14 +3,15 @@
 :class:`PredictionService` serves a predict-capable estimator (fitted
 in-process or reloaded via :func:`repro.serve.load_model`) to
 concurrent callers.  Its serving policy — row check, cache, coalescing,
-admission, swap bookkeeping, stats — is the
+admission, batch forming, swap bookkeeping, stats — is the
 :class:`~repro.serve.core.ServingCore` it shares with the asyncio door;
 its transport is a queue behind one ``Condition``, drained by
-``n_workers`` threads in batches of up to ``batch_size`` (waiting at
-most ``max_delay_ms`` after the first queued row), each batch labelled
-by an in-process ``predict`` so one cross-kernel SpMM amortises over
-many queries.  :meth:`PredictionService.swap_model` replaces the model
-under load without dropping a request (the online-refresh loop of
+``n_workers`` threads.  A free thread takes whatever is queued, up to
+``batch_size`` rows, without waiting for more, and labels it with one
+in-process ``predict``: one cross-kernel SpMM amortises over every query
+that queued while the workers were busy.
+:meth:`PredictionService.swap_model` replaces the model under load
+without dropping a request (the online-refresh loop of
 :class:`repro.serve.ModelRefresher`).  Batches are traced as
 ``serve.batch`` spans.
 """
@@ -43,7 +44,7 @@ class PredictionService:
         A fitted estimator exposing the engine ``predict`` contract.
     config:
         A :class:`~repro.serve.ServeConfig` carrying every serving knob
-        (batch window, queue bound, workers, cache, chunk schedule,
+        (batch size, queue bound, workers, cache, chunk schedule,
         devices).  The service clones it, so later mutation of the
         caller's config does not reach the running service.
     profiler:
@@ -142,23 +143,12 @@ class PredictionService:
     # worker machinery
     # ------------------------------------------------------------------
     def _next_batch(self) -> Optional[List[Pending]]:
-        """Block until a batch is ready; None means shut down."""
+        """Block until a row is queued, then take what is queued; None
+        means shut down (closed and drained)."""
         with self._not_empty:
             while not self._queue and not self._closed:
-                self._not_empty.wait(0.05)
-            if not self._queue:
-                return None  # closed and drained
-            batch = [self._queue.popleft()]
-            deadline = batch[0].t0 + self.config.max_delay_s
-            while len(batch) < self.config.batch_size:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    continue
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0 or self._closed:
-                    break
-                self._not_empty.wait(remaining)
-            return batch
+                self._not_empty.wait()
+            return self._core.take_batch(self._queue) or None
 
     def _worker_loop(self) -> None:
         while True:

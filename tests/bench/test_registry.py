@@ -1,7 +1,10 @@
 """Registry discoverability + quick-mode runnability of all 23 experiments."""
 
+import pkgutil
+
 import pytest
 
+import repro.bench.experiments
 from repro.bench import (
     ExperimentResult,
     ExperimentSpec,
@@ -12,6 +15,7 @@ from repro.bench import (
     register_experiment,
     run_experiment,
 )
+from repro.bench.registry import _EXPERIMENT_MODULES
 from repro.errors import ConfigError
 
 EXPECTED_IDS = {
@@ -45,6 +49,17 @@ class TestDiscovery:
     def test_all_23_experiments_registered(self):
         assert set(experiment_ids()) == EXPECTED_IDS
         assert len(experiment_ids()) == 23
+
+    def test_module_list_names_every_experiment_module(self):
+        # load_all_experiments imports exactly this list; a module missing
+        # from it registers only by a side effect of some other import
+        pkg = repro.bench.experiments
+        found = {
+            f"{pkg.__name__}.{m.name}"
+            for m in pkgutil.iter_modules(pkg.__path__)
+            if m.name not in ("__init__", "common")
+        }
+        assert sorted(_EXPERIMENT_MODULES) == sorted(found)
 
     def test_paper_order(self):
         ids = experiment_ids()

@@ -63,7 +63,7 @@ class TestServiceSharding:
     def test_service_profiler_sees_shard_launches(self, fitted):
         est, q = fitted
         with PredictionService(
-            est, devices=2, batch_size=q.shape[0], max_delay_ms=20, cache_size=0
+            est, devices=2, batch_size=q.shape[0], cache_size=0
         ) as svc:
             svc.predict_many(q)
         assert svc.profiler_.count_of("serve.shard_predict") >= 2

@@ -18,7 +18,6 @@ from repro.core import argmin_assign, distance_matrix_reference
 from repro.core.distances import popcorn_distances_host
 from repro.data import make_blobs
 from repro.engine.reduction import (
-    DEFAULT_CHUNK_COLS,
     DEFAULT_CHUNK_ROWS,
     WorkStealingPool,
     chunk_ranges,

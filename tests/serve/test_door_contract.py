@@ -9,6 +9,7 @@ thread door is driven from the loop through ``asyncio.wrap_future``.
 
 import asyncio
 import gc
+import threading
 import time
 import weakref
 
@@ -31,14 +32,17 @@ from repro.serve import (
 
 class _SlowModel:
     """A fitted model that sleeps per batch, and fails a batch holding a
-    row whose first feature exceeds 1e5 (the poisoned row)."""
+    row whose first feature exceeds 1e5 (the poisoned row).  ``started``
+    is set once a worker is inside ``predict``."""
 
     def __init__(self, inner, delay_s: float) -> None:
         self._inner = inner
         self._delay_s = delay_s
         self.labels_ = inner.labels_
+        self.started = threading.Event()
 
     def predict(self, rows, **kw):
+        self.started.set()
         time.sleep(self._delay_s)
         if np.any(rows[:, 0] > 1e5):
             raise ValueError("poisoned row")
@@ -124,7 +128,7 @@ def test_labels_match_direct_predict(door, fitted):
     model, q = fitted
 
     async def go():
-        async with door(model, batch_size=8, max_delay_ms=1.0) as d:
+        async with door(model, batch_size=8) as d:
             return await asyncio.gather(*[d.submit(row) for row in q])
 
     results = asyncio.run(go())
@@ -158,7 +162,7 @@ def test_duplicates_coalesce_onto_one_backend_row(door, fitted):
         # the backend holds each batch 200 ms, so every duplicate of the
         # burst arrives while its original is still in flight
         async with door(
-            _SlowModel(model, 0.2), batch_size=u, max_delay_ms=20.0, cache_size=0
+            _SlowModel(model, 0.2), batch_size=u, cache_size=0
         ) as d:
             futures = [d.submit(q[i]) for _ in range(r) for i in range(u)]
             return await asyncio.gather(*futures), d.stats()
@@ -172,12 +176,53 @@ def test_duplicates_coalesce_onto_one_backend_row(door, fitted):
     assert flags[:u] == [False] * u and all(flags[u:])
 
 
+def test_idle_door_answers_a_lone_request_at_once(door, fitted):
+    """Work-conserving batching: a free worker takes the one queued row
+    and never waits for a batch to fill, whatever max_delay_ms says."""
+    model, q = fitted
+
+    async def go():
+        with pytest.warns(DeprecationWarning, match="max_delay_ms"):
+            d = door(model, batch_size=8, max_delay_ms=10_000)
+        async with d:
+            t0 = time.perf_counter()
+            result = await d.submit(q[0])
+            return result, time.perf_counter() - t0
+
+    result, elapsed = asyncio.run(go())
+    assert result == model.predict(q[:1])[0]
+    assert elapsed < 2.0  # a 10 s batch-fill wait would show here
+
+
+def test_rows_queued_behind_a_busy_worker_ride_one_full_batch(door, fitted):
+    model, q = fitted
+    slow = _SlowModel(model, 0.2)
+
+    async def go():
+        async with door(slow, batch_size=5, cache_size=0) as d:
+            first = d.submit(q[0])
+            # the lone row is taken at once; wait until its worker is busy
+            started = await asyncio.get_running_loop().run_in_executor(
+                None, slow.started.wait, 10
+            )
+            rest = [d.submit(row) for row in q[1:6]]
+            return started, await asyncio.gather(first, *rest), d.stats()
+
+    started, results, stats = asyncio.run(go())
+    assert started
+    assert np.array_equal(np.array([int(r) for r in results]), model.predict(q[:6]))
+    # one batch for the lone row, one full batch of 5 for the rows that queued
+    assert stats["batches"] == 2
+    assert stats["backend_rows"] == 6
+    assert stats["mean_batch_size"] == 3.0
+
+
 def test_shed_requests_are_counted_and_never_served(door, fitted):
     model, q = fitted
 
     async def go():
         async with door(
-            _SlowModel(model, 0.02), batch_size=2, max_delay_ms=0.0,
+            _SlowModel(model, 0.02), batch_size=2,
             queue_bound=3, cache_size=0,
         ) as d:
             accepted, shed = [], 0
@@ -204,11 +249,11 @@ def test_errors_and_cancels_balance_the_books(door, fitted):
     rows[0, 0] = 1e6
 
     async def go():
-        d = door(_SlowModel(model, 0.05), batch_size=2, max_delay_ms=0.0, cache_size=0)
+        d = door(_SlowModel(model, 0.05), batch_size=2, cache_size=0)
         await d.__aenter__()
         futures = [d.submit(row) for row in rows]
-        # rows 0 and 1 share the first batch: it fails, each is retried
-        # alone, and row 1 answers once the poisoned row has failed
+        # the poisoned row 0 fails alone (a batch it shares is retried
+        # row by row), and row 1 answers once row 0 has failed
         await futures[1]
         await d.close(drain=False)
         done = await asyncio.gather(*futures, return_exceptions=True)

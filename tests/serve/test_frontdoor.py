@@ -70,7 +70,7 @@ class TestCorrectness:
 
         async def go():
             async with AsyncPredictionServer(
-                model, batch_size=8, max_delay_ms=1.0
+                model, batch_size=8
             ) as server:
                 return await server.predict_many(q)
 
@@ -116,7 +116,7 @@ class TestCoalescing:
 
         async def go():
             async with AsyncPredictionServer(
-                model, batch_size=u, max_delay_ms=1.0, cache_size=0
+                model, batch_size=u, cache_size=0
             ) as server:
                 futures = [
                     server.submit_nowait(q[i])
@@ -217,7 +217,7 @@ class TestOpenLoopLoad:
 
         async def drive(qps):
             async with AsyncPredictionServer(
-                slow, batch_size=4, max_delay_ms=0.5, n_workers=1,
+                slow, batch_size=4, n_workers=1,
                 queue_bound=4, cache_size=0, processes=False,
             ) as server:
                 report = await open_loop_load(server, queries, qps)
@@ -308,7 +308,7 @@ class TestErrorsAndClose:
 
         async def go():
             server = await AsyncPredictionServer(
-                slow, batch_size=2, max_delay_ms=0.0, cache_size=0,
+                slow, batch_size=2, cache_size=0,
                 processes=False,
             ).start()
             futures = [server.submit_nowait(row) for row in q[:12]]
@@ -362,7 +362,7 @@ class TestHotSwap:
 
         async def go():
             async with AsyncPredictionServer(
-                path_a, batch_size=16, max_delay_ms=0.5, cache_size=64,
+                path_a, batch_size=16, cache_size=64,
                 processes=False,
             ) as server:
                 async def swapper():

@@ -1,5 +1,7 @@
 """ServeConfig / ServeResult: the unified serving configuration surface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ class TestServeConfig:
     def test_defaults(self):
         cfg = ServeConfig()
         assert cfg.batch_size == 32
-        assert cfg.max_delay_ms == 2.0
+        assert cfg.max_delay_ms is None
         assert cfg.n_workers == 1
         assert cfg.queue_bound is None
         assert cfg.cache_size == 1024
@@ -45,7 +47,7 @@ class TestServeConfig:
             {"n_workers": 0},
             {"queue_bound": 0},
             {"cache_size": -1},
-            {"max_delay_ms": -0.5},
+            {"chunk_cols": 0},
             {"latency_window": 0},
             {"batch_size": True},
             {"batch_size": 2.5},
@@ -60,9 +62,19 @@ class TestServeConfig:
     def test_integral_float_accepted(self):
         assert ServeConfig(batch_size=8.0).batch_size == 8
 
-    def test_max_delay_s_and_predict_kwargs(self):
-        cfg = ServeConfig(max_delay_ms=5.0, chunk_rows=4, n_threads=2)
-        assert cfg.max_delay_s == pytest.approx(0.005)
+    def test_max_delay_ms_is_deprecated_but_validated(self):
+        with pytest.warns(DeprecationWarning, match="max_delay_ms"):
+            cfg = ServeConfig(max_delay_ms=5.0)
+        assert cfg.max_delay_ms == 5.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cfg.clone().max_delay_ms == 5.0  # the copy does not warn again
+            ServeConfig(batch_size=4)  # nor does a config that never names it
+        with pytest.warns(DeprecationWarning), pytest.raises(ConfigError):
+            ServeConfig(max_delay_ms=-0.5)
+
+    def test_predict_kwargs(self):
+        cfg = ServeConfig(chunk_rows=4, n_threads=2)
         assert cfg.predict_kwargs() == {
             "chunk_rows": 4, "chunk_cols": None, "n_threads": 2,
         }
@@ -79,7 +91,7 @@ class TestServeConfig:
 
     def test_service_accepts_config_object(self, fitted):
         model, q = fitted
-        cfg = ServeConfig(batch_size=4, max_delay_ms=1.0, cache_size=0)
+        cfg = ServeConfig(batch_size=4, cache_size=0)
         with PredictionService(model, cfg) as svc:
             assert svc.config.batch_size == 4
             assert np.array_equal(svc.predict_many(q), model.predict(q))
@@ -113,7 +125,7 @@ class TestServeResult:
         """The deprecation shim: submit/predict answer int-compatible results."""
         model, q = fitted
         expected = model.predict(q)
-        with PredictionService(model, batch_size=4, max_delay_ms=1.0) as svc:
+        with PredictionService(model, batch_size=4) as svc:
             res = svc.predict(q[0])
             assert res == expected[0]  # old callers compare the bare label
             assert isinstance(res, ServeResult)

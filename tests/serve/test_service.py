@@ -1,5 +1,6 @@
 """PredictionService: micro-batching, LRU cache, workers, stats."""
 
+import sys
 import threading
 
 import numpy as np
@@ -25,7 +26,7 @@ class TestCorrectness:
     def test_served_labels_match_direct_predict(self, fitted):
         model, q = fitted
         expected = model.predict(q)
-        with PredictionService(model, batch_size=8, max_delay_ms=1.0) as svc:
+        with PredictionService(model, batch_size=8) as svc:
             assert np.array_equal(svc.predict_many(q), expected)
 
     def test_single_predict_and_submit(self, fitted):
@@ -58,6 +59,35 @@ class TestCorrectness:
         for got in results.values():
             assert np.array_equal(got, expected)
 
+    def test_free_workers_race_for_rows_without_losing_one(self, fitted, lockdep):
+        """More workers than cores, each taking what is queued the moment
+        it is free, with a tiny switch interval: every row is answered
+        once and the books balance."""
+        model, q = fitted
+        rows = np.random.default_rng(4).standard_normal((600, q.shape[1]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with PredictionService(model, batch_size=8, n_workers=6, cache_size=0) as svc:
+                got = {}
+
+                def client(tag):
+                    got[tag] = svc.predict_many(rows[tag::3], timeout=30)
+
+                threads = [threading.Thread(target=client, args=(i,)) for i in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        for tag in range(3):
+            assert np.array_equal(got[tag], model.predict(rows[tag::3]))
+        assert stats["served"] == stats["requests"] == rows.shape[0]
+        assert stats["backend_rows"] + stats["coalesced"] == rows.shape[0]
+
     def test_chunk_rows_forwarded(self, fitted):
         model, q = fitted
         expected = model.predict(q)
@@ -75,10 +105,10 @@ class TestCorrectness:
 class TestBatchingAndCache:
     def test_batches_fuse_requests(self, fitted):
         model, q = fitted
-        with PredictionService(model, batch_size=64, max_delay_ms=50.0) as svc:
+        with PredictionService(_SlowModel(model, 0.01), batch_size=64) as svc:
             svc.predict_many(q)
             st = svc.stats()
-        # all 41 queries arrived before the delay expired: few batches
+        # the queries queued behind a busy worker: few batches
         assert st["batches"] < q.shape[0]
         assert st["mean_batch_size"] > 1.0
 
@@ -152,8 +182,6 @@ class TestLifecycleAndValidation:
             PredictionService(model, n_workers=0)
         with pytest.raises(ConfigError):
             PredictionService(model, cache_size=-1)
-        with pytest.raises(ConfigError):
-            PredictionService(model, max_delay_ms=-1.0)
 
     def test_non_vector_query_rejected(self, fitted):
         model, q = fitted
@@ -173,7 +201,8 @@ class TestLifecycleAndValidation:
         and the worker thread survives for later requests."""
         model, q = fitted
         expected = model.predict(q[:2])
-        with PredictionService(model, batch_size=8, max_delay_ms=20.0) as svc:
+        with PredictionService(_SlowModel(model, 0.05), batch_size=8) as svc:
+            svc.submit(q[3])  # holds the worker, so the rows below queue and fuse
             good0 = svc.submit(q[0])
             bad = svc.submit(np.zeros(9))  # ragged: np.stack cannot fuse these
             good1 = svc.submit(q[1])
@@ -206,7 +235,7 @@ class TestAdmissionControl:
         slow = _SlowModel(model, 0.02)
         accepted, shed = [], 0
         with PredictionService(
-            slow, batch_size=2, max_delay_ms=0.0, n_workers=1,
+            slow, batch_size=2, n_workers=1,
             queue_bound=3, cache_size=0,
         ) as svc:
             for row in np.tile(q, (3, 1)):
@@ -239,7 +268,7 @@ class TestCloseDrainsDeterministically:
         slow = _SlowModel(model, 0.01)
         expected = model.predict(q)
         svc = PredictionService(
-            slow, batch_size=4, max_delay_ms=0.0, n_workers=1, cache_size=0,
+            slow, batch_size=4, n_workers=1, cache_size=0,
         )
         futures = [svc.submit(row) for row in q]
         svc.close()  # drain=True: the queue is served, not abandoned
@@ -251,7 +280,7 @@ class TestCloseDrainsDeterministically:
         model, q = fitted
         slow = _SlowModel(model, 0.05)
         svc = PredictionService(
-            slow, batch_size=2, max_delay_ms=0.0, n_workers=1, cache_size=0,
+            slow, batch_size=2, n_workers=1, cache_size=0,
         )
         futures = [svc.submit(row) for row in q[:12]]
         svc.close(drain=False)

@@ -54,7 +54,7 @@ class TestBoundedWindow:
         rng = np.random.default_rng(1)
         queries = rng.standard_normal((40, 6))
         with PredictionService(
-            _fitted(), n_workers=1, batch_size=4, max_delay_ms=0.0,
+            _fitted(), n_workers=1, batch_size=4,
             cache_size=0, latency_window=8,
         ) as svc:
             svc.predict_many(queries)
@@ -90,7 +90,7 @@ class TestStatsSwapRaces:
         queries = rng.standard_normal((400, 6))
 
         with PredictionService(
-            model_a, n_workers=2, batch_size=8, max_delay_ms=0.2, cache_size=64,
+            model_a, n_workers=2, batch_size=8, cache_size=64,
         ) as svc:
 
             def hammer_stats():
