@@ -13,13 +13,16 @@ implementations are registered:
     estimators did (the launch log is pinned against
     :mod:`repro.modeling` launch for launch).
 
-Both backends run the **same numerics**: the host pipeline and the device
-shims share the CSR kernels, and scalings are powers of two, so
+Both backends run the **same numerics**: every backend builds K from
+points with the one :func:`_host_kernel_matrix`, the distance pipelines
+share the CSR kernels, and scalings are powers of two, so
 ``backend="host"`` and ``backend="device"`` produce identical labels from
-identical seeds (tested).  Both honour ``chunk_rows``: the host backend
-chunks its fused reduction, and the device backend streams kernel-matrix
-panels from host memory instead of requiring K to be resident, converting
-the device memory wall into a transfer cost.
+identical seeds (tested).  GEMM vs SYRK (``gram_method``) is a cost-model
+decision only: it picks the launches the device charges, never the bits
+of K.  Both honour ``chunk_rows``: the host backend chunks its fused
+reduction, and the device backend streams kernel-matrix panels from host
+memory instead of requiring K to be resident, converting the device
+memory wall into a transfer cost.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import AllocationError, ConfigError, ShapeError
-from ..gpu import blas, cost, custom, cusparse, raft, thrust
+from ..gpu import cost, custom, cusparse, raft, thrust
 from ..gpu.device import Device
 from ..gpu.launch import Launch
 from ..gpu.memory import DeviceArray
@@ -41,7 +44,6 @@ from ..gpu.profiler import Profiler
 from ..gpu.spec import DeviceSpec
 from ..kernels.base import Kernel
 from ..kernels.dispatch import choose_gram_method
-from ..kernels.gram import device_kernel_matrix
 from .reduction import (
     WorkStealingPool,
     chunk_ranges,
@@ -410,11 +412,16 @@ def _usable_cpus() -> int:
 
 
 def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
-    """Host-side Gram + kernel + diagonal, bitwise equal to the device path.
+    """The one build of K from points: Gram product, kernel, diagonal.
 
-    The Gram product is NumPy's ``x @ x.T`` (BLAS SYRK plus NumPy's
-    mirror), the product the device shim performs; ``"syrk"`` then runs
-    :func:`repro.gpu.blas.syrk_mirror` as the device's SYRK path does.
+    Every backend calls it (host, device in both modes, sharded, and the
+    ``partial_fit`` cold start).  ``used`` (``"gemm"``/``"syrk"``) names
+    the Gram routine the caller charges, so a span wrapped around the
+    build can report that routine's FLOPs; it changes no bit of K: NumPy's
+    ``x @ x.T`` on a C-contiguous ``x`` already runs BLAS SYRK plus an
+    exact mirror, so the Gram product is symmetric bit for bit.  ``x`` is
+    made C-contiguous first because a strided view's product need not be.
+
     The kernel transform runs in place over row panels of
     :data:`KERNEL_PANEL_BYTES`, one work-stealing task each, as wide as
     the CPUs the process may use — the width BLAS gives the product.
@@ -430,9 +437,8 @@ def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
 
     Returns ``(K, diag(K))`` as contiguous arrays.
     """
+    x = np.ascontiguousarray(x)
     b = x @ x.T
-    if used == "syrk":
-        b = blas.syrk_mirror(b)
     n = b.shape[0]
     gram_diag = np.diagonal(b).copy() if kernel.needs_diag() else None
     rows = max(1, KERNEL_PANEL_BYTES // max(n * b.itemsize, 1))
@@ -656,38 +662,50 @@ class DeviceBackend(Backend):
     def compute_kernel_matrix(self, state, x, kernel, *, method="auto", threshold=None) -> None:
         _check_gram_expressible(kernel)
         device = state.device
+        spec = device.spec
         n, d = x.shape
         state.n = n
-        if state.chunk_rows is None:
-            p_buf = device.h2d(x)
-            with state.profiler.phase("kernel_matrix"):
-                state.k_op, state.p_norms, used = device_kernel_matrix(
-                    device, p_buf, kernel, method=method, threshold=threshold
-                )
-            state.gram_method = used
-            p_buf.free()
-            return
-        used = _resolve_gram_method(method, threshold, n, d, tiled=True)
-        # Streaming mode: K is built in row panels on the device and written
-        # back to host memory (it never fits resident).  The numerics use one
-        # host GEMM + transform — bitwise identical to the monolithic device
-        # path — while the cost model charges the panel pipeline: per tile a
-        # rectangular GEMM, the elementwise kernel, and the D2H writeback.
+        used = _resolve_gram_method(method, threshold, n, d, state.chunk_rows is not None)
+        # The numerics are the one host build; the cost model charges the
+        # device pipeline that would produce the same K.
         p_buf = device.h2d(x)
-        state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, used)
-        itemsize = state.dtype.itemsize
-        with state.profiler.phase("kernel_matrix"):
-            for lo, hi in chunk_ranges(n, state.chunk_rows):
-                device.record(cost.gemm_tile_cost(device.spec, hi - lo, n, d))
-                device.record(
-                    cost.transform_tile_cost(device.spec, hi - lo, n, kernel.flops_per_entry)
-                )
-            device.record(cost.diag_extract_cost(device.spec, n))
-        with state.profiler.phase("transfer"):
-            for lo, hi in chunk_ranges(n, state.chunk_rows):
-                device.record(cost.d2h_cost(device.spec, itemsize * (hi - lo) * n))
-        p_buf.free()
-        state.p_norms = device.h2d(state.p_norms_host)
+        km, diag = _host_kernel_matrix(x, kernel, used)
+        if state.chunk_rows is None:
+            # Monolithic: K and P~ are adopted as resident buffers, charged
+            # as the Gram routine, the Gaussian's diag(B) snapshot, the
+            # in-place thrust transform and the diagonal extraction.
+            state.k_op = device.wrap(km)
+            with state.profiler.phase("kernel_matrix"):
+                if used == "gemm":
+                    device.record(cost.gemm_cost(spec, n, d))
+                else:
+                    device.record(cost.syrk_cost(spec, n, d))
+                    device.record(cost.triangular_copy_cost(spec, n))
+                if kernel.needs_diag():
+                    device.record(cost.diag_extract_cost(spec, n))
+                device.record(cost.kernel_transform_cost(spec, n, kernel.flops_per_entry))
+                device.record(cost.diag_extract_cost(spec, n))
+            state.p_norms = device.wrap(diag)
+            p_buf.free()
+        else:
+            # Streaming: K is built in row panels on the device and written
+            # back to host memory (it never fits resident); per tile the
+            # cost model charges a rectangular GEMM, the elementwise kernel
+            # and the D2H writeback.
+            state.k_host, state.p_norms_host = km, diag
+            itemsize = state.dtype.itemsize
+            with state.profiler.phase("kernel_matrix"):
+                for lo, hi in chunk_ranges(n, state.chunk_rows):
+                    device.record(cost.gemm_tile_cost(spec, hi - lo, n, d))
+                    device.record(
+                        cost.transform_tile_cost(spec, hi - lo, n, kernel.flops_per_entry)
+                    )
+                device.record(cost.diag_extract_cost(spec, n))
+            with state.profiler.phase("transfer"):
+                for lo, hi in chunk_ranges(n, state.chunk_rows):
+                    device.record(cost.d2h_cost(spec, itemsize * (hi - lo) * n))
+            p_buf.free()
+            state.p_norms = device.h2d(state.p_norms_host)
         state.gram_method = used
 
     # ------------------------------------------------------------------

@@ -508,9 +508,14 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
 
     w = None
     if sample_weight is not None:
-        w = as_vector(sample_weight, dtype=np.float64, name="sample_weight")
+        w = check_finite(
+            as_vector(sample_weight, dtype=np.float64, name="sample_weight"),
+            name="sample_weight",
+        )
         if w.shape[0] != n:
             raise ShapeError(f"sample_weight must have length {n}")
+        if np.any(w < 0):
+            raise ConfigError("sample_weight must be non-negative")
 
     batches = chunk_ranges(n, getattr(est, "batch_size", None))
     if not batches:

@@ -6,10 +6,13 @@ A :class:`Device` couples three things:
 2. a :class:`~repro.gpu.profiler.Profiler` (the launch log / clock), and
 3. an allocator tracking live device memory against capacity.
 
-Library shims (:mod:`repro.gpu.blas`, :mod:`repro.gpu.cusparse`,
-:mod:`repro.gpu.thrust`, :mod:`repro.gpu.raft`, :mod:`repro.gpu.custom`)
-perform the real arithmetic on the buffers' host payloads and charge the
-modeled time through :meth:`Device.record`.
+Library shims (:mod:`repro.gpu.cusparse`, :mod:`repro.gpu.thrust`,
+:mod:`repro.gpu.raft`, :mod:`repro.gpu.custom`) perform the real
+arithmetic on the buffers' host payloads and charge the modeled time
+through :meth:`Device.record`.  The kernel matrix has no shim: the device
+backend builds it with the engine's one host build, adopts it with
+:meth:`Device.wrap` and records the cuBLAS GEMM or SYRK + mirror launches
+from :mod:`repro.gpu.cost`.
 """
 
 from __future__ import annotations

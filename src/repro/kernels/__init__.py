@@ -2,7 +2,7 @@
 
 Provides the kernels the paper's artifact exposes (linear, polynomial,
 sigmoid) plus the Gaussian kernel of Sec. 3.2 and a non-Gram-expressible
-Laplacian, and the GEMM/SYRK Gram-matrix pipeline with dynamic dispatch.
+Laplacian, and the GEMM/SYRK dispatch rule with its cost model.
 """
 
 from ..errors import ConfigError
@@ -10,7 +10,7 @@ from .base import Kernel
 from .dispatch import choose_gram_method, model_gram_times, tune_threshold
 from .extra import CosineKernel, RationalQuadraticKernel
 from .gaussian import GaussianKernel
-from .gram import device_kernel_matrix, gram_matrix, kernel_matrix
+from .gram import kernel_matrix
 from .laplacian import LaplacianKernel
 from .linear import LinearKernel
 from .polynomial import PolynomialKernel
@@ -29,9 +29,7 @@ __all__ = [
     "choose_gram_method",
     "model_gram_times",
     "tune_threshold",
-    "gram_matrix",
     "kernel_matrix",
-    "device_kernel_matrix",
 ]
 
 _BY_NAME = {

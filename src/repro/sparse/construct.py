@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .._typing import INDEX_DTYPE, as_float_dtype, as_index_vector, as_matrix
+from .._typing import INDEX_DTYPE, as_float_dtype, as_index_vector, as_matrix, check_finite
 from ..errors import ConfigError, ShapeError, SparseFormatError
 from .csr import CSRMatrix
 
@@ -220,6 +220,7 @@ def factored_selection(
             raise ShapeError("weights must be 1-D")
         if w.shape[0] != n:
             raise ShapeError(f"weights must have length {n}, got {w.shape[0]}")
+        check_finite(w, name="weights")
         if np.any(w < 0):
             raise ConfigError("weights must be non-negative")
         values = w[order].astype(dt)

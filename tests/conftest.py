@@ -43,6 +43,26 @@ def device():
 
 
 @pytest.fixture
+def device_build():
+    """The device backend's kernel stage as a function of the points.
+
+    ``device_build(x, kernel, method=, threshold=, device=)`` returns
+    ``(K, P~, gram_method)`` as host arrays; pass ``device`` to inspect
+    the launches it charged.
+    """
+    from repro.engine import get_backend
+
+    def build(x, kernel, *, method="auto", threshold=None, device=None):
+        device = device or Device(A100_80GB)
+        backend = get_backend("device")
+        state = backend.begin(n_clusters=2, dtype=x.dtype, device=device)
+        backend.compute_kernel_matrix(state, x, kernel, method=method, threshold=threshold)
+        return state.k_op.a, state.p_norms.a, state.gram_method
+
+    return build
+
+
+@pytest.fixture
 def blobs():
     """Small separable dataset: (X float32 (90, 5), y, k=3)."""
     x, y = make_blobs(90, 5, 3, rng=7)

@@ -1,48 +1,53 @@
-"""Tests for the library shims: blas, cusparse, thrust, raft, custom."""
+"""Tests for the library shims: cuBLAS launches, cusparse, thrust, raft, custom."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
+from repro import PopcornKernelKMeans
+from repro.errors import ConfigError, ShapeError
 from repro.gpu import custom, raft, thrust
-from repro.gpu.blas import gemm_gram, gram, syrk_gram
 from repro.gpu.cusparse import DeviceCSR, spgemm, spmm_kvt, spmv
+from repro.kernels import LinearKernel
 from repro.sparse import random_csr, selection_matrix
 
 
 class TestBlas:
-    def test_gemm_gram_numerics(self, device, rng):
-        x = rng.standard_normal((12, 5)).astype(np.float64)
-        out = gemm_gram(device, device.h2d(x))
-        assert np.allclose(out.a, x @ x.T)
+    """The cuBLAS Gram launches, charged by the device backend's kernel
+    stage on the one engine build of K."""
 
-    def test_syrk_gram_numerics(self, device, rng):
+    def test_gemm_gram_numerics(self, device_build, rng):
         x = rng.standard_normal((12, 5)).astype(np.float64)
-        out = syrk_gram(device, device.h2d(x))
-        assert np.allclose(out.a, x @ x.T)
-        # result must be exactly symmetric (mirror copy)
-        assert np.array_equal(out.a, out.a.T)
+        km, _, _ = device_build(x, LinearKernel(), method="gemm")
+        assert np.array_equal(km, x @ x.T)
 
-    def test_syrk_records_two_launches(self, device, rng):
+    def test_syrk_gram_numerics(self, device_build, rng):
+        x = rng.standard_normal((12, 5)).astype(np.float64)
+        km, _, _ = device_build(x, LinearKernel(), method="syrk")
+        assert np.allclose(km, x @ x.T)
+        # result must be exactly symmetric (cuSPARSE reads the full matrix)
+        assert np.array_equal(km, km.T)
+
+    def test_syrk_records_two_launches(self, device_build, device, rng):
         x = rng.standard_normal((8, 3)).astype(np.float32)
-        syrk_gram(device, device.h2d(x))
+        device_build(x, LinearKernel(), method="syrk", device=device)
         assert device.profiler.count_of("cublas.syrk") == 1
         assert device.profiler.count_of("custom.triangular_mirror") == 1
+        assert device.profiler.count_of("cublas.gemm") == 0
 
-    def test_gram_dispatch_helper(self, device, rng):
+    def test_gram_dispatch_helper(self, device_build, rng):
         x = rng.standard_normal((6, 2)).astype(np.float32)
-        p = device.h2d(x)
-        assert np.allclose(gram(device, p, "gemm").a, gram(device, p, "syrk").a, rtol=1e-5)
+        gemm, _, _ = device_build(x, LinearKernel(), method="gemm")
+        syrk, _, _ = device_build(x, LinearKernel(), method="syrk")
+        assert np.array_equal(gemm, syrk)
 
-    def test_gram_unknown_method(self, device, rng):
-        p = device.h2d(rng.standard_normal((4, 2)).astype(np.float32))
-        with pytest.raises(ShapeError, match="unknown gram method"):
-            gram(device, p, "magic")
+    def test_gram_unknown_method(self, device_build, rng):
+        x = rng.standard_normal((4, 2)).astype(np.float32)
+        with pytest.raises(ConfigError, match="unknown gram method"):
+            device_build(x, LinearKernel(), method="magic")
 
-    def test_rejects_1d_buffer(self, device):
-        p = device.h2d(np.ones(5, dtype=np.float32))
+    def test_rejects_1d_buffer(self):
         with pytest.raises(ShapeError):
-            gemm_gram(device, p)
+            PopcornKernelKMeans(2, backend="device").fit(np.ones(5, dtype=np.float32))
 
 
 class TestCusparseShims:

@@ -5,12 +5,10 @@ import pytest
 
 from repro.core import PopcornKernelKMeans
 from repro.errors import ConfigError
-from repro.gpu import Device, A100_80GB
 from repro.kernels import (
     CosineKernel,
     GaussianKernel,
     RationalQuadraticKernel,
-    device_kernel_matrix,
     kernel_by_name,
 )
 
@@ -50,13 +48,12 @@ class TestCosine:
         want = (x @ y.T) / np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1))
         assert np.allclose(k, want, atol=1e-6)
 
-    def test_device_pipeline(self, rng):
-        """Rides the same GEMM/SYRK + transform path unchanged."""
+    def test_device_pipeline(self, device_build, rng):
+        """Rides the device backend's one kernel-matrix build unchanged."""
         x = rng.standard_normal((20, 4)).astype(np.float64)
-        dev = Device(A100_80GB)
-        k_buf, diag, _ = device_kernel_matrix(dev, dev.h2d(x), CosineKernel())
-        assert np.allclose(k_buf.a, CosineKernel().pairwise(x), atol=1e-8)
-        assert np.allclose(diag.a, 1.0, atol=1e-8)
+        km, diag, _ = device_build(x, CosineKernel())
+        assert np.allclose(km, CosineKernel().pairwise(x), atol=1e-8)
+        assert np.allclose(diag, 1.0, atol=1e-8)
 
 
 class TestRationalQuadratic:

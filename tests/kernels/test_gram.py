@@ -4,21 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.gpu import Device
-from repro.kernels import (
-    GaussianKernel,
-    LaplacianKernel,
-    device_kernel_matrix,
-    gram_matrix,
-    kernel_matrix,
-)
+from repro.kernels import GaussianKernel, LaplacianKernel, kernel_matrix
 
 
 class TestHostPath:
-    def test_gram_matrix(self, rng):
-        x = rng.standard_normal((8, 3))
-        assert np.allclose(gram_matrix(x), x @ x.T)
-
     def test_kernel_matrix_poly(self, rng, poly_kernel):
         x = rng.standard_normal((8, 3))
         assert np.allclose(kernel_matrix(x, poly_kernel), (x @ x.T + 1) ** 2, rtol=1e-5)
@@ -26,59 +15,51 @@ class TestHostPath:
 
 class TestDevicePath:
     @pytest.mark.parametrize("method", ["gemm", "syrk"])
-    def test_matches_host(self, device, rng, poly_kernel, method):
+    def test_matches_host(self, device_build, device, rng, poly_kernel, method):
         x = rng.standard_normal((20, 4)).astype(np.float64)
-        p = device.h2d(x)
-        k_buf, diag, used = device_kernel_matrix(device, p, poly_kernel, method=method)
+        km, diag, used = device_build(x, poly_kernel, method=method, device=device)
         assert used == method
-        assert np.allclose(k_buf.a, kernel_matrix(x, poly_kernel), rtol=1e-6)
-        assert np.allclose(diag.a, np.diagonal(k_buf.a))
+        assert np.allclose(km, kernel_matrix(x, poly_kernel), rtol=1e-6)
+        assert np.array_equal(diag, np.diagonal(km))
 
-    def test_gemm_equals_syrk(self, rng, poly_kernel):
-        """Sec. 4.2: both routines produce correct (identical) output."""
-        from repro.gpu import A100_80GB
-
+    def test_gemm_equals_syrk(self, device_build, rng, poly_kernel):
+        """Sec. 4.2: both routines produce correct output — here the very
+        same bits, since the method only picks the charged launches."""
         x = rng.standard_normal((15, 6)).astype(np.float64)
-        d1, d2 = Device(A100_80GB), Device(A100_80GB)
-        k1, _, _ = device_kernel_matrix(d1, d1.h2d(x), poly_kernel, method="gemm")
-        k2, _, _ = device_kernel_matrix(d2, d2.h2d(x), poly_kernel, method="syrk")
-        assert np.allclose(k1.a, k2.a, rtol=1e-10)
+        k1, _, _ = device_build(x, poly_kernel, method="gemm")
+        k2, _, _ = device_build(x, poly_kernel, method="syrk")
+        assert np.array_equal(k1, k2)
 
-    def test_gaussian_needs_diag_snapshot(self, device, rng):
+    def test_gaussian_needs_diag_snapshot(self, device_build, device, rng):
         """The Gaussian path must not corrupt the diag it reads in place."""
         kern = GaussianKernel(gamma=0.7)
         x = rng.standard_normal((12, 3)).astype(np.float64)
-        p = device.h2d(x)
-        k_buf, diag, _ = device_kernel_matrix(device, p, kern)
-        assert np.allclose(k_buf.a, kern.pairwise(x), atol=1e-8)
-        assert np.allclose(diag.a, 1.0, atol=1e-8)
+        km, diag, _ = device_build(x, kern, device=device)
+        assert np.allclose(km, kern.pairwise(x), atol=1e-8)
+        assert np.allclose(diag, 1.0, atol=1e-8)
+        assert device.profiler.count_of("custom.diag_extract") == 2
 
-    def test_auto_dispatch_large_ratio_uses_gemm(self, device, rng, poly_kernel):
+    def test_auto_dispatch_large_ratio_uses_gemm(self, device_build, rng, poly_kernel):
         x = rng.standard_normal((300, 2)).astype(np.float32)  # n/d = 150 > 100
-        _, _, used = device_kernel_matrix(device, device.h2d(x), poly_kernel, method="auto")
-        assert used == "gemm"
+        assert device_build(x, poly_kernel, method="auto")[2] == "gemm"
 
-    def test_auto_dispatch_small_ratio_uses_syrk(self, device, rng, poly_kernel):
+    def test_auto_dispatch_small_ratio_uses_syrk(self, device_build, rng, poly_kernel):
         x = rng.standard_normal((50, 10)).astype(np.float32)  # n/d = 5 < 100
-        _, _, used = device_kernel_matrix(device, device.h2d(x), poly_kernel, method="auto")
-        assert used == "syrk"
+        assert device_build(x, poly_kernel, method="auto")[2] == "syrk"
 
-    def test_custom_threshold(self, device, rng, poly_kernel):
+    def test_custom_threshold(self, device_build, rng, poly_kernel):
         x = rng.standard_normal((50, 10)).astype(np.float32)  # ratio 5
-        _, _, used = device_kernel_matrix(
-            device, device.h2d(x), poly_kernel, method="auto", threshold=2.0
-        )
-        assert used == "gemm"
+        assert device_build(x, poly_kernel, method="auto", threshold=2.0)[2] == "gemm"
 
-    def test_non_gram_kernel_rejected(self, device, rng):
+    def test_non_gram_kernel_rejected(self, device_build, rng):
         x = rng.standard_normal((10, 3)).astype(np.float32)
         with pytest.raises(ShapeError, match="Gram-expressible"):
-            device_kernel_matrix(device, device.h2d(x), LaplacianKernel())
+            device_build(x, LaplacianKernel())
 
-    def test_launches_recorded(self, device, rng, poly_kernel):
+    def test_launches_recorded(self, device_build, device, rng, poly_kernel):
         x = rng.standard_normal((10, 3)).astype(np.float32)
-        device_kernel_matrix(device, device.h2d(x), poly_kernel, method="syrk")
-        names = [l.name for l in device.profiler.launches]
+        device_build(x, poly_kernel, method="syrk", device=device)
+        names = [launch.name for launch in device.profiler.launches]
         assert "cublas.syrk" in names
         assert "custom.triangular_mirror" in names
         assert "thrust.transform" in names

@@ -119,3 +119,41 @@ def test_partial_fit_rejects_non_finite_x(name, bad):
     est = make_estimator(name, n_clusters=3, seed=0, batch_size=20)
     with pytest.raises(ConfigError, match="NaN or inf"):
         est.partial_fit(_points_with(bad))
+
+
+#: (estimator, entry point) for every estimator that takes sample_weight;
+#: "warm" is a partial_fit after a clean first call
+WEIGHTED_CALLS = [
+    (name, call)
+    for name in sorted(available_estimators(tag="supports_sample_weight"))
+    for call in ("fit", "partial_fit", "warm")
+    if call == "fit" or name in available_estimators(tag="supports_partial_fit")
+]
+
+
+def _call_with_weights(name, call, w):
+    est = make_estimator(name, n_clusters=3, seed=0)
+    x = _points_with(0.0)
+    if call == "fit":
+        return est.fit(x, sample_weight=w)
+    if call == "warm":
+        est.partial_fit(x)
+    return est.partial_fit(x, sample_weight=w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, call", WEIGHTED_CALLS)
+def test_rejects_non_finite_sample_weight(name, call, bad):
+    """A NaN or inf weight used to put every point in cluster 0."""
+    w = np.ones(60)
+    w[7] = bad
+    with pytest.raises(ConfigError, match="NaN or inf"):
+        _call_with_weights(name, call, w)
+
+
+@pytest.mark.parametrize("name, call", WEIGHTED_CALLS)
+def test_rejects_negative_sample_weight(name, call):
+    w = np.ones(60)
+    w[7] = -1.0
+    with pytest.raises(ConfigError, match="non-negative"):
+        _call_with_weights(name, call, w)

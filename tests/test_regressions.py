@@ -118,15 +118,13 @@ class TestDataSuiteFullScale:
 
 
 class TestKernelMatrixSymmetryThroughPipeline:
-    def test_device_kernel_matrix_is_symmetric_fp32(self, device, rng):
-        """FP32 GEMM + in-place transform must keep K exactly symmetric
-        (the SpMM-transpose trick relies on it)."""
-        from repro.kernels import device_kernel_matrix
-
+    def test_device_kernel_matrix_is_symmetric_fp32(self, device_build, rng):
+        """FP32 Gram product + in-place transform must keep K exactly
+        symmetric (the SpMM-transpose trick relies on it)."""
         x = rng.standard_normal((40, 6)).astype(np.float32)
-        p = device.h2d(x)
-        k_buf, _, _ = device_kernel_matrix(device, p, PolynomialKernel())
-        assert np.array_equal(k_buf.a, k_buf.a.T)
+        for method in ("gemm", "syrk"):
+            km, _, _ = device_build(x, PolynomialKernel(), method=method)
+            assert np.array_equal(km, km.T), method
 
 
 class TestBlobsGroundTruthUsable:
